@@ -500,8 +500,8 @@ func benchClusterGather(b *testing.B, pipeline bool, shards int) {
 	master, err := cluster.NewMaster(cluster.MasterConfig{
 		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
 		LearningRate: 0.01, W: gatherBenchWorkers, MaxSteps: b.N, Seed: 42,
-		AcceptTimeout: 60 * time.Second, Wire: cluster.WireBinary,
-		Pipeline: pipeline,
+		AcceptTimeout: 60 * time.Second,
+		Pipeline:      pipeline,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -529,7 +529,7 @@ func benchClusterGather(b *testing.B, pipeline bool, shards int) {
 			wk, err := cluster.NewWorker(cluster.WorkerConfig{
 				Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
 				Model: mdl, Encode: cluster.SumEncoder(),
-				Wire: cluster.WireBinary, GatherShards: shards,
+				GatherShards: shards,
 			})
 			if err != nil {
 				b.Error(err)
@@ -551,9 +551,9 @@ func benchClusterGather(b *testing.B, pipeline bool, shards int) {
 	b.ReportMetric(float64(ls.P95), "gather-p95-ns")
 }
 
-// BenchmarkClusterGather compares the synchronous binaryv1 baseline, the
-// pipelined master loop, and the dim-sharded binaryv2 gather at 2 and 4
-// lanes per worker. Heavy (each step moves 256 MiB over loopback), so the
+// BenchmarkClusterGather compares the synchronous single-lane baseline,
+// the pipelined master loop, and the dim-sharded gather at 2 and 4 lanes
+// per worker. Heavy (each step moves 256 MiB over loopback), so the
 // -short CI smoke skips it; BENCH_PR10.json carries the committed numbers.
 func BenchmarkClusterGather(b *testing.B) {
 	if testing.Short() {

@@ -123,10 +123,10 @@ func TestJobGoneEndsReconnectEarly(t *testing.T) {
 	}
 	defer ln.Close()
 
-	// Fake master: the first connection completes the handshake (gob is
-	// chosen, so no upgrade framing is needed) and is then dropped, as if
-	// the master died; every later connection is answered with MsgJobGone,
-	// exactly what a control-plane tombstone does.
+	// Fake master: the first connection completes the handshake (a
+	// single-lane binaryv2 ack; no frame ever follows) and is then
+	// dropped, as if the master died; every later connection is answered
+	// with MsgJobGone, exactly what a control-plane tombstone does.
 	var conns atomic.Int64
 	go func() {
 		for {
@@ -144,8 +144,8 @@ func TestJobGoneEndsReconnectEarly(t *testing.T) {
 				}
 				enc := gob.NewEncoder(raw)
 				if n == 1 {
-					// Choose gob (empty Wire in the ack), serve nothing, die.
-					_ = enc.Encode(&Envelope{Kind: MsgHello})
+					// Grant one binaryv2 lane, serve nothing, die.
+					_ = enc.Encode(&Envelope{Kind: MsgHello, Wire: WireBinary2, Shards: 1})
 					time.Sleep(50 * time.Millisecond)
 					return
 				}

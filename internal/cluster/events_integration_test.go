@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -18,16 +17,21 @@ import (
 // (eviction before the first degraded step before the rejoin), and a run
 // that ends successfully must not have logged anything at error level.
 func TestEventLogCapturesCrashAndRejoin(t *testing.T) {
-	var buf bytes.Buffer
-	ev := events.New(events.Config{Writer: &buf, MinLevel: events.LevelDebug})
+	gate := newEventGate("master.worker_rejoined")
+	ev := events.New(events.Config{Writer: gate, MinLevel: events.LevelDebug})
 	st := newCRStrategy(t, 3)
 	faults := []straggler.Fault{
 		nil,
 		straggler.DisconnectAt{Step: 5},
 		straggler.CrashAt{Step: 2},
 	}
+	// Worker 0, the one that never faults, holds its step-5 upload until
+	// the master logs worker 1's rejoin: with worker 2 dead and worker 1
+	// away, the gather waits for worker 0 alone, so without the gate the
+	// last steps could finish before the redial lands.
+	delays := []straggler.Model{&gatedDelay{from: 5, open: gate.open}, nil, nil}
 	master, res, err := runFaultyCluster(t, st, faultyOpts{
-		w: 3, maxSteps: 8, faults: faults,
+		w: 3, maxSteps: 8, faults: faults, delays: delays,
 		reconnect: 10 * time.Second, events: ev,
 	})
 	if err != nil {
@@ -54,7 +58,7 @@ func TestEventLogCapturesCrashAndRejoin(t *testing.T) {
 	}
 	first := map[string]int{}
 	var nLines int
-	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	for i, line := range strings.Split(strings.TrimSpace(gate.buf.String()), "\n") {
 		nLines++
 		var e entry
 		if err := json.Unmarshal([]byte(line), &e); err != nil {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -123,6 +125,51 @@ func runFaultyCluster(t *testing.T, st engine.Strategy, o faultyOpts) (*Master, 
 	return master, res, runErr
 }
 
+// eventGate is an event-log sink that keeps the JSONL stream and closes
+// open the first time an event of type typ is written: the hook a fault
+// drill uses to gate its later steps on a lifecycle event.
+type eventGate struct {
+	typ  string
+	open chan struct{}
+	once sync.Once
+	buf  bytes.Buffer // written under the events.Log's lock
+}
+
+func newEventGate(typ string) *eventGate {
+	return &eventGate{typ: typ, open: make(chan struct{})}
+}
+
+func (g *eventGate) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"type":"`+g.typ+`"`)) {
+		g.once.Do(func() { close(g.open) })
+	}
+	return g.buf.Write(p)
+}
+
+// gatedDelay is a zero-delay straggler.Model that holds its worker's
+// upload from the from-th served step on (one sample per step) until open
+// closes. It paces a run from its fault step, so an injected rejoin cannot
+// race the last step; the bounded wait turns a rejoin that never comes
+// into a failed assertion instead of a hung test.
+type gatedDelay struct {
+	from int
+	open <-chan struct{}
+	n    int
+}
+
+func (g *gatedDelay) Sample(*rand.Rand) time.Duration {
+	if g.n >= g.from {
+		select {
+		case <-g.open:
+		case <-time.After(20 * time.Second):
+		}
+	}
+	g.n++
+	return 0
+}
+
+func (g *gatedDelay) String() string { return "gated" }
+
 // newCRStrategy builds IS-GC over CR(n, 2) — the flexible scheme used by
 // the fault scenarios (it can decode any subset of workers).
 func newCRStrategy(t *testing.T, n int) engine.Strategy {
@@ -238,8 +285,13 @@ func TestRigidSchemeFailsFastOnWorkerLoss(t *testing.T) {
 func TestWorkerDisconnectRejoin(t *testing.T) {
 	st := newCRStrategy(t, 4)
 	faults := []straggler.Fault{nil, nil, straggler.DisconnectAt{Step: 3}, nil}
+	// Worker 0 holds its step-3 upload until the master logs the rejoin,
+	// so the shrunken fleet cannot finish the run before worker 2 redials.
+	gate := newEventGate("master.worker_rejoined")
+	delays := []straggler.Model{&gatedDelay{from: 3, open: gate.open}, nil, nil, nil}
 	master, res, err := runFaultyCluster(t, st, faultyOpts{
-		w: 4, maxSteps: 12, faults: faults, reconnect: 10 * time.Second,
+		w: 4, maxSteps: 12, faults: faults, delays: delays, reconnect: 10 * time.Second,
+		events: events.New(events.Config{Writer: gate}),
 	})
 	if err != nil {
 		t.Fatalf("master: %v", err)
@@ -363,14 +415,15 @@ func TestLivenessTimeoutReapsSilentWorker(t *testing.T) {
 		_, _ = wk.Run()
 	}()
 
-	// Worker 1 registers and then hangs: open socket, no traffic at all.
+	// Worker 1 registers and then hangs: open socket, no traffic at all
+	// (it never even reads the master's ack).
 	raw, err := net.Dial("tcp", master.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
 	silent := newConn(raw, 0, nil)
-	if err := silent.send(&Envelope{Kind: MsgHello, Worker: 1}); err != nil {
+	if err := silent.send(&Envelope{Kind: MsgHello, Worker: 1, Wire: WireBinary2, Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -435,7 +488,7 @@ func TestMasterRejectsMalformedGradient(t *testing.T) {
 	}
 	defer raw.Close()
 	c := newConn(raw, 0, nil)
-	if err := c.send(&Envelope{Kind: MsgHello, Worker: 0}); err != nil {
+	if _, err := clientHello(c, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	step, err := c.recv()
@@ -446,10 +499,10 @@ func TestMasterRejectsMalformedGradient(t *testing.T) {
 		t.Fatalf("params dim = %d, want %d", len(step.Params), dim)
 	}
 	// First a malformed gradient (wrong dimension), then a valid one.
-	if err := c.send(&Envelope{Kind: MsgGradient, Worker: 0, Step: step.Step, Coded: []float64{1, 2, 3}}); err != nil {
+	if err := c.send(&Envelope{Kind: MsgGradient, Worker: 0, Step: step.Step, Coded: []float64{1, 2, 3}, Total: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.send(&Envelope{Kind: MsgGradient, Worker: 0, Step: step.Step, Coded: make([]float64, dim)}); err != nil {
+	if err := c.send(&Envelope{Kind: MsgGradient, Worker: 0, Step: step.Step, Coded: make([]float64, dim), Total: dim}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -61,73 +62,16 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrame is the binary counterpart of FuzzDecodeMessage: the
-// frame parser fronts adversarial bytes on every negotiated connection, so
-// whatever arrives must decode to a valid envelope or an error — never a
-// panic, and never an envelope violating the structural invariants. The
-// corpus is seeded with the golden vectors plus targeted corruptions of
-// each rejection path (truncation, magic, version skew, reserved bytes,
-// dim overflow).
-func FuzzDecodeFrame(f *testing.F) {
-	for _, e := range goldenEnvelopes() {
-		data, err := EncodeFrame(e)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-		f.Add(append(append([]byte(nil), data...), 0))
-		corrupt := append([]byte(nil), data...)
-		corrupt[len(corrupt)/3] ^= 0xff
-		f.Add(corrupt)
-	}
-	grad, err := EncodeFrame(&Envelope{Kind: MsgGradient, Worker: 1, Step: 2, Coded: []float64{1}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	skew := append([]byte(nil), grad...)
-	skew[4] = frameVersion + 1
-	f.Add(skew)
-	overflow := append([]byte(nil), grad...)
-	putU32(overflow[32:], maxVectorLen+1)
-	f.Add(overflow)
-	f.Add([]byte{})
-	f.Add([]byte("ISGC"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := DecodeFrame(data)
-		if err != nil {
-			return
-		}
-		if verr := validateEnvelope(e); verr != nil {
-			t.Fatalf("decoded envelope fails validation: %v (%+v)", verr, e)
-		}
-		if e.Wire != "" {
-			t.Fatalf("binary frame produced negotiation field %q", e.Wire)
-		}
-		// Canonical format: whatever decodes must re-encode to the exact
-		// input bytes.
-		re, err := AppendFrame(nil, e)
-		if err != nil {
-			t.Fatalf("re-encode of decoded envelope failed: %v (%+v)", err, e)
-		}
-		if len(re) != len(data) {
-			t.Fatalf("re-encode length %d != input length %d", len(re), len(data))
-		}
-		for i := range re {
-			if re[i] != data[i] {
-				t.Fatalf("re-encode differs from input at byte %d", i)
-			}
-		}
-	})
-}
-
-// FuzzDecodeSubFrame hammers the binaryv2 parser the way FuzzDecodeFrame
-// hammers v1. The extra geometry fields add rejection paths (offset/total
-// overflow, zero-total gradients, geometry on control frames) — all seeded
-// here — and the canonical-encoding invariant extends to them: whatever
-// decodes must re-encode to the exact input bytes, sub-frame geometry
-// included.
+// FuzzDecodeSubFrame is the binary counterpart of FuzzDecodeMessage: the
+// frame parser fronts adversarial bytes on every connection after the
+// hello exchange, so whatever arrives must decode to a valid envelope or
+// an error — never a panic, and never an envelope violating the
+// structural invariants. The corpus is seeded with the golden vectors plus
+// targeted corruptions of each rejection path (truncation, version skew in
+// both directions — binaryv1's version byte included — dim, offset and
+// total overflow, zero-total gradients), and the encoding is canonical:
+// whatever decodes must re-encode to the exact input bytes, sub-frame
+// geometry included.
 func FuzzDecodeSubFrame(f *testing.F) {
 	for _, e := range goldenSubFrameEnvelopes() {
 		data, err := EncodeSubFrame(e)
@@ -147,19 +91,20 @@ func FuzzDecodeSubFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	skewDown := append([]byte(nil), grad...)
-	skewDown[4] = frameVersion
+	skewDown[4] = 1 // binaryv1's version byte
 	f.Add(skewDown)
 	skewUp := append([]byte(nil), grad...)
 	skewUp[4] = frameVersion2 + 1
 	f.Add(skewUp)
 	dimOverflow := append([]byte(nil), grad...)
-	putU32(dimOverflow[32:], maxVectorLen+1)
+	le := binary.LittleEndian
+	le.PutUint32(dimOverflow[32:], maxVectorLen+1)
 	f.Add(dimOverflow)
 	offOverflow := append([]byte(nil), grad...)
-	putU32(offOverflow[36:], maxVectorLen+1)
+	le.PutUint32(offOverflow[36:], maxVectorLen+1)
 	f.Add(offOverflow)
 	zeroTotal := append([]byte(nil), grad...)
-	putU32(zeroTotal[40:], 0)
+	le.PutUint32(zeroTotal[40:], 0)
 	f.Add(zeroTotal)
 	f.Add([]byte{})
 	f.Add([]byte("ISGC"))

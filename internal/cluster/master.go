@@ -87,16 +87,10 @@ type MasterConfig struct {
 	// Repairs and fallbacks land on the isgc_master_decode_repairs/
 	// fallbacks counters.
 	IncrementalDecode bool
-	// Wire selects the wire codec policy: WireBinary (or empty, the
-	// default) upgrades every worker that proposes the binary codec in
-	// its hello and keeps gob for the rest; WireGob pins every connection
-	// to gob (the ack then tells upgrading workers to stay on gob).
-	Wire string
-	// GatherShards caps how many parallel gather lanes a worker proposing
-	// the binaryv2 codec may open (1..16). 0 accepts the worker's proposal
-	// up to the protocol maximum; 1 negotiates sharding workers down to a
-	// single binaryv1 stream. Workers that never propose sharding are
-	// untouched either way — the default path stays bit-identical.
+	// GatherShards caps how many parallel gather lanes a worker may open
+	// (1..16). 0 accepts the worker's proposal up to the protocol maximum;
+	// 1 grants every worker a single lane. Lane counts change only how
+	// gradient bytes travel, never a record or parameter bit.
 	GatherShards int
 	// Pipeline enables the overlapped step loop: step t+1's broadcast
 	// goes out the moment step t's update lands, and step t's loss
@@ -184,10 +178,13 @@ type WarmState struct {
 // reborn worker's fresh connection dead.
 type workerState struct {
 	c *conn
-	// lanes are the extra binaryv2 gather-lane connections a sharding
-	// worker attached (nil on unsharded registrations). They carry
+	// lanes are the extra gather-lane connections a sharding worker
+	// attached (nil on single-lane registrations). They carry
 	// gradient sub-frames only; control traffic stays on c.
-	lanes    []*conn
+	lanes []*conn
+	// shards is the lane count granted at registration, primary
+	// included; lane hellos may only fill indices 1..shards-1.
+	shards   int
 	alive    bool
 	lastSeen time.Time
 	gen      int
@@ -252,7 +249,7 @@ type Master struct {
 	attribution *trace.Attribution
 
 	// shardAsms holds one sub-frame assembler per worker id that ever
-	// registered with sharding (lazily created; see shard.go).
+	// registered (lazily created; see shard.go).
 	shardMu   sync.Mutex
 	shardAsms map[int]*shardAssembler
 }
@@ -344,11 +341,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 			cfg.PermanentAfter = 30 * time.Second
 		}
 	}
-	wire, err := ParseWire(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Wire = wire
 	if cfg.GatherShards < 0 || cfg.GatherShards > maxGatherShards {
 		return nil, fmt.Errorf("cluster: need 0 ≤ GatherShards ≤ %d, got %d", maxGatherShards, cfg.GatherShards)
 	}
@@ -635,67 +627,47 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	}
 	m.mu.Unlock()
 
-	// Extra gather lanes attach through the same listener: a binaryv2
-	// hello tagged with a lane index joins an existing registration
-	// instead of creating one.
-	if hello.Wire == WireBinary2 && hello.Shard > 0 {
+	// The one data-plane codec: a hello proposing anything else (a gob or
+	// binaryv1 peer, or none at all) is refused like any other bad hello.
+	if hello.Wire != WireBinary2 {
+		_ = c.close()
+		return
+	}
+	// Extra gather lanes attach through the same listener: a hello tagged
+	// with a lane index joins an existing registration instead of
+	// creating one.
+	if hello.Shard > 0 {
 		m.attachLane(c, hello, readers)
 		return
 	}
 
-	// Codec negotiation, completed before the connection becomes visible
-	// to broadcasts and readers so no message can straddle the switch. A
-	// worker that proposed an upgrade gets a gob hello ack naming the
-	// chosen codec; a pre-negotiation hello (empty Wire) gets no ack and
-	// stays on gob — exactly the legacy exchange. A binaryv2 proposal
-	// carries the worker's desired lane count; the ack answers with the
-	// granted one (possibly negotiated down to a single binaryv1 stream).
-	wire := WireGob
-	shards := 1
-	if hello.Wire != "" {
-		switch {
-		case hello.Wire == WireBinary2 && m.cfg.Wire != WireGob:
-			shards = grantShards(hello.Shards, m.cfg.GatherShards)
-			if shards > 1 {
-				wire = WireBinary2
-			} else {
-				wire = WireBinary
-			}
-		case hello.Wire == WireBinary && m.cfg.Wire != WireGob:
-			wire = WireBinary
-		}
-		m.mu.Lock()
-		masterGen := m.generation
-		m.mu.Unlock()
-		// The ack carries the master's run generation so a resuming worker
-		// learns it is talking to a restored (or failed-over) master.
-		ack := &Envelope{Kind: MsgHello, Worker: id, Wire: wire, Gen: masterGen}
-		if wire == WireBinary2 {
-			ack.Shards = shards
-		}
-		if err := c.send(ack); err != nil {
-			_ = c.close()
-			return
-		}
-		switch wire {
-		case WireBinary2:
-			// Every gradient on a v2 connection is a sub-frame: decode its
-			// payload straight into the shard assembler's gather buffer.
-			c.gradReserve = m.shardAsmFor(id).reserveFor
-			c.upgradeV2(false)
-		case WireBinary:
-			c.upgrade(false) // gradient ownership transfers: no vector reuse
-		}
+	// The ack names the granted lane count and is sent before the
+	// connection becomes visible to broadcasts and readers, so no message
+	// can straddle the switch to frames. It carries the master's run
+	// generation so a resuming worker learns it is talking to a restored
+	// (or failed-over) master.
+	shards := grantShards(hello.Shards, m.cfg.GatherShards)
+	m.mu.Lock()
+	masterGen := m.generation
+	m.mu.Unlock()
+	ack := &Envelope{Kind: MsgHello, Worker: id, Wire: WireBinary2, Shards: shards, Gen: masterGen}
+	if err := c.send(ack); err != nil {
+		_ = c.close()
+		return
 	}
-	m.cfg.Metrics.markWire(wire)
+	// Every gradient is a sub-frame: decode its payload straight into the
+	// shard assembler's gather buffer. Gradient ownership transfers to the
+	// gather loop, so the connection never reuses vectors.
+	c.gradReserve = m.shardAsmFor(id).reserveFor
+	c.upgrade(false)
+	m.cfg.Metrics.markWire(WireBinary2)
 
 	m.mu.Lock()
 	if m.done {
 		m.mu.Unlock()
-		// Terminal reject: this master will never run another step, so a
-		// reconnecting worker must stop burning its redial budget. Sent
-		// best-effort in gob (the connection never upgraded).
-		_ = c.send(&Envelope{Kind: MsgJobGone})
+		// The run ended during the exchange. A frame cannot carry
+		// MsgJobGone, so just close: the worker's redial meets the
+		// terminal reject above.
 		_ = c.close()
 		return
 	}
@@ -712,7 +684,7 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 		m.rejoins++
 		m.cfg.Metrics.markRejoin()
 	}
-	m.workers[id] = &workerState{c: c, alive: true, lastSeen: time.Now(), gen: gen}
+	m.workers[id] = &workerState{c: c, shards: shards, alive: true, lastSeen: time.Now(), gen: gen}
 	m.cfg.Metrics.setWorkerAlive(id, true)
 	step := events.NoStep
 	if m.running {
@@ -726,10 +698,10 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 
 	if gen > 0 {
 		m.cfg.Events.Info("master.worker_rejoined", "worker re-registered mid-run", step, id,
-			events.Fields{"generation": gen, "wire": wire})
+			events.Fields{"generation": gen, "lanes": shards})
 	} else {
 		m.cfg.Events.Info("master.worker_registered", "worker registered", step, id,
-			events.Fields{"wire": wire})
+			events.Fields{"lanes": shards})
 	}
 
 	m.pokeLiveness()
@@ -774,22 +746,23 @@ func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
 		ws.alive = false
 		ws.deadSince = time.Now()
 		lanes = ws.lanes
-	}
-	step := events.NoStep
-	if m.running {
-		step = m.curStep
-	}
-	done := m.done
-	m.mu.Unlock()
-	if current {
-		m.cfg.Metrics.setWorkerAlive(id, false)
-		if !done {
+		if !m.done {
+			step := events.NoStep
+			if m.running {
+				step = m.curStep
+			}
 			// The single authoritative eviction event: every path that kills
 			// a connection (remote close, liveness timeout, failed send)
-			// funnels through this reader exit.
+			// funnels through this reader exit. It is logged before the lock
+			// drops, so nothing that acts on the eviction — a degraded step
+			// above all — can reach the log ahead of it.
 			m.cfg.Events.Warn("master.worker_evicted", "worker connection lost", step, id,
 				events.Fields{"generation": gen, "reason": "connection_lost"})
 		}
+	}
+	m.mu.Unlock()
+	if current {
+		m.cfg.Metrics.setWorkerAlive(id, false)
 		_ = c.close()
 		for _, lc := range lanes {
 			_ = lc.close()
@@ -798,26 +771,22 @@ func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
 	}
 }
 
-// deliverGradient routes one authenticated gradient envelope to the gather
-// loop: whole-vector gradients forward directly, sub-frames commit to the
-// worker's shard assembler and forward once the last span lands. Returns
-// false when the master is shutting down.
+// deliverGradient routes one authenticated gradient sub-frame to the
+// gather loop: it commits to the worker's shard assembler and forwards the
+// whole vector once the last span lands. Returns false when the master is
+// shutting down.
 func (m *Master) deliverGradient(id int, e *Envelope) bool {
-	if e.Total > 0 {
-		if e.Coded == nil {
-			// Declined reservation: a stale, overlapping, or mismatched
-			// sub-frame whose payload bytes were drained undecoded.
-			return true
-		}
-		m.cfg.Metrics.markSubFrames(1)
-		full, ok := m.shardAsmFor(id).commit(e)
-		if !ok {
-			return true // more spans outstanding, or the step was evicted
-		}
-		e = &Envelope{Kind: MsgGradient, Worker: id, Step: e.Step, Coded: full,
-			ComputeStartUnixNano: e.ComputeStartUnixNano, ComputeDurNanos: e.ComputeDurNanos}
+	if e.Coded == nil {
+		// Declined reservation: a stale, overlapping, or mismatched
+		// sub-frame whose payload bytes were drained undecoded.
+		return true
 	}
-	a := arrival{worker: id, step: e.Step, coded: e.Coded, recvAt: time.Now(),
+	m.cfg.Metrics.markSubFrames(1)
+	full, ok := m.shardAsmFor(id).commit(e)
+	if !ok {
+		return true // more spans outstanding, or the step was evicted
+	}
+	a := arrival{worker: id, step: e.Step, coded: full, recvAt: time.Now(),
 		computeDur: time.Duration(e.ComputeDurNanos)}
 	if e.ComputeStartUnixNano > 0 {
 		a.computeStart = time.Unix(0, e.ComputeStartUnixNano)

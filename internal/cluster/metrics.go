@@ -50,7 +50,7 @@ type MasterMetrics struct {
 	// WorkerAlive is 1/0 per worker id.
 	WorkerAlive *metrics.GaugeVec
 	// WireConnections counts accepted registrations per negotiated codec
-	// — the operator's view of which workers still speak legacy gob.
+	// (binaryv2 is the only one a master grants).
 	WireConnections *metrics.CounterVec
 	// DecodeCacheHits and DecodeCacheMisses count availability-mask LRU
 	// outcomes (zero unless MasterConfig.DecodeCache is enabled).
@@ -74,10 +74,10 @@ type MasterMetrics struct {
 	// (-1 until the first write).
 	LastCheckpointStep *metrics.Gauge
 	// ShardLanes counts extra gather-lane connections accepted from
-	// binaryv2 workers (zero on an unsharded fleet).
+	// workers (zero on a single-lane fleet).
 	ShardLanes *metrics.Counter
 	// SubFrames counts gradient sub-frames reassembled into full
-	// gradients (zero on an unsharded fleet).
+	// gradients (one per upload on a single-lane fleet).
 	SubFrames *metrics.Counter
 	// FoldedGradients counts straggler gradients folded into a later
 	// step's parameters as a staleness correction (zero unless the
@@ -134,7 +134,7 @@ func NewMasterMetrics(reg *metrics.Registry) *MasterMetrics {
 		LastCheckpointStep: reg.NewGauge("isgc_master_last_checkpoint_step",
 			"Step of the newest durable checkpoint (-1 before the first)."),
 		ShardLanes: reg.NewCounter("isgc_master_shard_lanes_total",
-			"Extra gather-lane connections accepted from binaryv2 workers."),
+			"Extra gather-lane connections accepted from workers."),
 		SubFrames: reg.NewCounter("isgc_master_subframes_total",
 			"Gradient sub-frames reassembled into full gradients."),
 		FoldedGradients: reg.NewCounter("isgc_master_folded_gradients_total",
@@ -284,15 +284,16 @@ type WorkerMetrics struct {
 	// Connected is 1 while the worker holds a registered connection.
 	Connected *metrics.Gauge
 	// WireConnections counts completed registrations per negotiated
-	// codec (a reconnecting worker renegotiates, so rejoins count too).
+	// codec (a reconnecting worker renegotiates, so rejoins count too;
+	// binaryv2 is the only codec).
 	WireConnections *metrics.CounterVec
 	// ComputeShards is the size of the worker's gradient compute pool.
 	ComputeShards *metrics.Gauge
-	// GatherLanes is the number of parallel gather streams negotiated on
-	// the current registration (1 on v1/gob connections).
+	// GatherLanes is the number of parallel gather streams granted on
+	// the current registration (1 = the primary connection only).
 	GatherLanes *metrics.Gauge
-	// SubFrames counts gradient sub-frames sent across all lanes (zero
-	// on unsharded connections).
+	// SubFrames counts gradient sub-frames sent across all lanes (one per
+	// step on a single-lane registration).
 	SubFrames *metrics.Counter
 }
 

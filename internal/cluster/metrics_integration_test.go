@@ -69,6 +69,23 @@ func TestMasterMetricsMatchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// With W = 2 of 4, which workers a step accepts is a race. The
+	// exposition check below needs worker 0 accepted at least once, so
+	// workers 1-3 hold their uploads until the master has accepted worker
+	// 0's first gradient; from then on the race runs free.
+	firstAccepted := make(chan struct{})
+	stopPoll := make(chan struct{})
+	defer close(stopPoll)
+	go func() {
+		defer close(firstAccepted)
+		for h := master.Health(); len(h.Workers) == 0 || h.Workers[0].AcceptedSteps == 0; h = master.Health() {
+			select {
+			case <-stopPoll:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
 	workerMetrics := make([]*WorkerMetrics, 4)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -91,6 +108,10 @@ func TestMasterMetricsMatchTrace(t *testing.T) {
 			if i == 3 {
 				fault = straggler.CrashAt{Step: 3}
 			}
+			var delay straggler.Model
+			if i != 0 {
+				delay = &gatedDelay{open: firstAccepted}
+			}
 			wk, err := NewWorker(WorkerConfig{
 				Addr:              master.Addr(),
 				ID:                i,
@@ -99,6 +120,7 @@ func TestMasterMetricsMatchTrace(t *testing.T) {
 				Model:             mdl,
 				Encode:            SumEncoder(),
 				Fault:             fault,
+				Delay:             delay,
 				HeartbeatInterval: 100 * time.Millisecond,
 				Metrics:           workerMetrics[i],
 			})

@@ -46,7 +46,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 	mcfg := MasterConfig{
 		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
 		LearningRate: 0.3, W: 4, MaxSteps: 8, Seed: 42,
-		AcceptTimeout: 10 * time.Second, Wire: WireBinary, Metrics: mm,
+		AcceptTimeout: 10 * time.Second, Metrics: mm,
 	}
 	if shapeMaster != nil {
 		shapeMaster(&mcfg)
@@ -77,7 +77,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 			}
 			wcfg := WorkerConfig{
 				Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
-				Model: mdl, Encode: SumEncoder(), Wire: WireBinary,
+				Model: mdl, Encode: SumEncoder(),
 				DelaySeed: int64(i) + 1,
 			}
 			if shapeWorker != nil {
@@ -135,10 +135,11 @@ func TestPipelinedEquivalentToSync(t *testing.T) {
 }
 
 // TestShardedGatherEquivalence pins the other half of the tentpole: the
-// sharded wire must change only how gradient bytes travel. Runs with 1, 2,
-// and 4 gather lanes per worker must match the unsharded baseline exactly,
-// and the sharded runs must actually have moved sub-frames over extra
-// lanes.
+// lane count must change only how gradient bytes travel. Runs with 1, 2,
+// and 4 gather lanes per worker must match the single-lane baseline (the
+// default worker config) exactly, and every run must have moved one
+// sub-frame per lane per worker per step, over the extra lanes it asked
+// for.
 func TestShardedGatherEquivalence(t *testing.T) {
 	base, _ := runShapedCluster(t, nil, nil)
 	normalizeRun(base)
@@ -150,48 +151,30 @@ func TestShardedGatherEquivalence(t *testing.T) {
 		res, mm := runShapedCluster(t, nil, func(i int, c *WorkerConfig) { c.GatherShards = shards })
 		normalizeRun(res)
 		if !reflect.DeepEqual(base.Run.Records, res.Run.Records) {
-			t.Fatalf("shards=%d: records diverged from unsharded baseline", shards)
+			t.Fatalf("shards=%d: records diverged from single-lane baseline", shards)
 		}
 		if !reflect.DeepEqual(base.Params, res.Params) {
-			t.Fatalf("shards=%d: final parameters diverged from unsharded baseline", shards)
+			t.Fatalf("shards=%d: final parameters diverged from single-lane baseline", shards)
 		}
-		lanes := mm.ShardLanes.Value()
-		subFrames := mm.SubFrames.Value()
-		if shards == 1 {
-			if lanes != 0 || subFrames != 0 {
-				t.Fatalf("shards=1 must stay on the single-stream path, got lanes=%d subframes=%d", lanes, subFrames)
-			}
-			continue
-		}
-		if lanes != uint64(4*(shards-1)) {
+		if lanes := mm.ShardLanes.Value(); lanes != uint64(4*(shards-1)) {
 			t.Fatalf("shards=%d: %d lanes attached, want %d", shards, lanes, 4*(shards-1))
 		}
 		// 8 steps × 4 workers × shards sub-frames each.
-		if want := uint64(8 * 4 * shards); subFrames != want {
-			t.Fatalf("shards=%d: %d sub-frames, want %d", shards, subFrames, want)
+		if want, got := uint64(8*4*shards), mm.SubFrames.Value(); got != want {
+			t.Fatalf("shards=%d: %d sub-frames, want %d", shards, got, want)
 		}
 	}
 }
 
 // TestMixedFleetShardInterop runs a deliberately heterogeneous fleet
-// against one binaryv2-capable master: a 4-lane binaryv2 worker, a plain
-// binaryv1 worker, and a legacy gob worker must train together and land on
-// the same math as a uniform fleet.
+// against one master: workers asking for 4, 2, 1 and the default number
+// of lanes must train together and land on the same math as a uniform
+// fleet.
 func TestMixedFleetShardInterop(t *testing.T) {
 	base, _ := runShapedCluster(t, nil, nil)
 	normalizeRun(base)
-	res, mm := runShapedCluster(t, nil, func(i int, c *WorkerConfig) {
-		switch i {
-		case 0:
-			c.GatherShards = 4 // binaryv2, 4 lanes
-		case 1:
-			c.GatherShards = 2 // binaryv2, 2 lanes
-		case 2:
-			c.Wire = WireGob // legacy stream
-		default:
-			// worker 3: plain binaryv1, single stream
-		}
-	})
+	lanes := []int{4, 2, 1, 0} // worker 3 keeps the default: one lane
+	res, mm := runShapedCluster(t, nil, func(i int, c *WorkerConfig) { c.GatherShards = lanes[i] })
 	normalizeRun(res)
 	if !reflect.DeepEqual(base.Run.Records, res.Run.Records) {
 		t.Fatal("mixed fleet diverged from the uniform baseline")
@@ -199,20 +182,21 @@ func TestMixedFleetShardInterop(t *testing.T) {
 	if !reflect.DeepEqual(base.Params, res.Params) {
 		t.Fatal("mixed fleet produced different final parameters")
 	}
-	if got := mm.WireConnections.With(WireGob).Value(); got != 1 {
-		t.Fatalf("gob connections = %d, want 1", got)
+	if got := mm.WireConnections.With(WireBinary2).Value(); got != 4 {
+		t.Fatalf("binaryv2 connections = %d, want 4", got)
 	}
-	if lanes := mm.ShardLanes.Value(); lanes != 3+1 {
-		t.Fatalf("shard lanes = %d, want 4 (3 from worker 0, 1 from worker 1)", lanes)
+	if got := mm.ShardLanes.Value(); got != 3+1 {
+		t.Fatalf("shard lanes = %d, want 4 (3 from worker 0, 1 from worker 1)", got)
 	}
-	if mm.SubFrames.Value() == 0 {
-		t.Fatal("no sub-frames counted despite binaryv2 workers")
+	// 8 steps × (4 + 2 + 1 + 1) sub-frames.
+	if got := mm.SubFrames.Value(); got != 8*8 {
+		t.Fatalf("sub-frames = %d, want %d", got, 8*8)
 	}
 }
 
 // TestMasterGatherShardsCapNegotiatesDown: a master pinned to
-// GatherShards = 1 must answer a binaryv2 proposal with binaryv1, keeping
-// mixed-version fleets on the proven single-stream path.
+// GatherShards = 1 must grant workers proposing 4 lanes a single binaryv2
+// lane each.
 func TestMasterGatherShardsCapNegotiatesDown(t *testing.T) {
 	_, mm := runShapedCluster(t,
 		func(c *MasterConfig) { c.GatherShards = 1 },
@@ -220,11 +204,11 @@ func TestMasterGatherShardsCapNegotiatesDown(t *testing.T) {
 	if lanes := mm.ShardLanes.Value(); lanes != 0 {
 		t.Fatalf("lanes = %d, want 0 (master capped shards at 1)", lanes)
 	}
-	if sf := mm.SubFrames.Value(); sf != 0 {
-		t.Fatalf("sub-frames = %d, want 0", sf)
+	if sf := mm.SubFrames.Value(); sf != 8*4 {
+		t.Fatalf("sub-frames = %d, want %d (one whole-vector sub-frame per worker per step)", sf, 8*4)
 	}
-	if got := mm.WireConnections.With(WireBinary).Value(); got != 4 {
-		t.Fatalf("binaryv1 connections = %d, want 4", got)
+	if got := mm.WireConnections.With(WireBinary2).Value(); got != 4 {
+		t.Fatalf("binaryv2 connections = %d, want 4", got)
 	}
 }
 

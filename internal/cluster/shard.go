@@ -1,11 +1,11 @@
 // Master-side support for the dim-sharded gather: lane attachment and the
-// per-worker sub-frame assembler. A binaryv2 worker splits each step's
-// gradient into contiguous (offset, len) spans, one per lane connection;
-// recvFrameV2 asks the assembler to reserve the destination span before
-// the payload bytes are read, decodes straight into the step's gather
-// buffer at the offset (no reassembly copy), and the reader commits the
-// span afterwards — the step surfaces as an ordinary whole-vector arrival
-// once the last span lands.
+// per-worker sub-frame assembler. A worker splits each step's gradient
+// into contiguous (offset, len) spans, one per lane connection (a single
+// span covering the whole vector on one lane); recvFrameV2 asks the
+// assembler to reserve the destination span before the payload bytes are
+// read, decodes straight into the step's gather buffer at the offset (no
+// reassembly copy), and the reader commits the span afterwards — the step
+// surfaces as an ordinary whole-vector arrival once the last span lands.
 package cluster
 
 import (
@@ -148,18 +148,19 @@ func (m *Master) shardAsmFor(id int) *shardAssembler {
 }
 
 // attachLane joins one extra gather-lane connection to an already
-// registered binaryv2 worker. The lane hello names the lane index and the
-// master generation it registered under; a lane for a dead, unsharded, or
-// previous-life registration is refused by closing it — the worker's
-// dialLanes then fails as a unit and the whole registration retries.
+// registered worker. The lane hello names the lane index and the master
+// generation it registered under; a lane for a dead or previous-life
+// registration, or past the lanes it was granted, is refused by closing
+// it — the worker's dialLanes then fails as a unit and the whole
+// registration retries.
 func (m *Master) attachLane(c *conn, hello *Envelope, readers *sync.WaitGroup) {
 	id := hello.Worker
 	m.mu.Lock()
 	ws := m.workers[id]
 	masterGen := m.generation
 	done := m.done
-	ok := !done && ws != nil && ws.alive && ws.c.wireV2 && hello.Gen == masterGen &&
-		hello.Shard >= 1 && hello.Shard < maxGatherShards
+	ok := !done && ws != nil && ws.alive && hello.Gen == masterGen &&
+		hello.Shard >= 1 && hello.Shard < ws.shards
 	gen := -1
 	if ok {
 		gen = ws.gen
@@ -177,7 +178,7 @@ func (m *Master) attachLane(c *conn, hello *Envelope, readers *sync.WaitGroup) {
 		_ = c.close()
 		return
 	}
-	c.upgradeV2(false)
+	c.upgrade(false)
 	// Register the lane on the generation it validated against: a rejoin
 	// that raced in installs a fresh workerState this lane must not join.
 	m.mu.Lock()

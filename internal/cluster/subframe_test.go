@@ -2,17 +2,66 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite the golden wire fixtures in testdata/")
+
+// goldenPath returns the fixture file for one named frame.
+func goldenPath(name string) string {
+	return filepath.Join("testdata", name+".hex")
+}
+
+// readGolden loads and decodes a hex fixture (whitespace is ignored, so the
+// files can be wrapped for readability).
+func readGolden(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatalf("read fixture (run with -update to generate): %v", err)
+	}
+	data, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		t.Fatalf("fixture %s is not hex: %v", name, err)
+	}
+	return data
+}
+
+// writeGolden renders frame bytes as wrapped hex.
+func writeGolden(t *testing.T, name string, data []byte) {
+	t.Helper()
+	h := hex.EncodeToString(data)
+	var b strings.Builder
+	for i := 0; i < len(h); i += 64 {
+		end := i + 64
+		if end > len(h) {
+			end = len(h)
+		}
+		b.WriteString(h[i:end])
+		b.WriteByte('\n')
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath(name), []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // goldenSubFrameEnvelopes are the committed binaryv2 wire fixtures: a
 // mid-vector gradient sub-frame (the format's reason to exist), a whole-
-// vector gradient (offset 0, total = dim — what a single-lane binaryv2
-// worker sends), and the geometry-free kinds. Like the v1 fixtures they
-// pin the byte layout so an accidental encoding change breaks loudly
-// instead of silently splitting mixed-version fleets.
+// vector gradient (offset 0, total = dim — what a single-lane worker
+// sends), and the geometry-free kinds. They pin the byte layout so an
+// accidental encoding change breaks loudly instead of silently splitting
+// mixed-version fleets.
 func goldenSubFrameEnvelopes() map[string]*Envelope {
 	return map[string]*Envelope{
 		"subframe-gradient": {Kind: MsgGradient, Worker: 2, Step: 9,
@@ -56,12 +105,13 @@ func TestGoldenSubFrames(t *testing.T) {
 
 // TestGoldenSubFrameHeaderBytes spells the 44-byte v2 header out field by
 // field — the subframe.go frame diagram asserted byte for byte, including
-// the two fields v1 does not have: offset at [36, 40) and total at [40, 44).
+// the sub-frame geometry: offset at [36, 40) and total at [40, 44).
 func TestGoldenSubFrameHeaderBytes(t *testing.T) {
 	data := readGolden(t, "subframe-gradient")
 	if len(data) < frameHeaderSizeV2 {
 		t.Fatalf("fixture shorter than a v2 header: %d bytes", len(data))
 	}
+	le := binary.LittleEndian
 	if string(data[:4]) != "ISGC" {
 		t.Errorf("magic = %q", data[:4])
 	}
@@ -74,55 +124,32 @@ func TestGoldenSubFrameHeaderBytes(t *testing.T) {
 	if data[6] != 0 || data[7] != 0 {
 		t.Errorf("reserved = % x", data[6:8])
 	}
-	if got := getU32(data[8:]); got != 2 {
+	if got := le.Uint32(data[8:]); got != 2 {
 		t.Errorf("worker = %d", got)
 	}
-	if got := getU32(data[12:]); got != 9 {
+	if got := le.Uint32(data[12:]); got != 9 {
 		t.Errorf("step = %d", got)
 	}
-	if got := int64(getU64(data[16:])); got != 1_700_000_000_000_000_000 {
+	if got := int64(le.Uint64(data[16:])); got != 1_700_000_000_000_000_000 {
 		t.Errorf("compute start = %d", got)
 	}
-	if got := int64(getU64(data[24:])); got != 12_345_678 {
+	if got := int64(le.Uint64(data[24:])); got != 12_345_678 {
 		t.Errorf("compute duration = %d", got)
 	}
-	if got := getU32(data[32:]); got != 4 {
+	if got := le.Uint32(data[32:]); got != 4 {
 		t.Errorf("dim = %d", got)
 	}
-	if got := getU32(data[36:]); got != 3 {
+	if got := le.Uint32(data[36:]); got != 3 {
 		t.Errorf("offset = %d", got)
 	}
-	if got := getU32(data[40:]); got != 16 {
+	if got := le.Uint32(data[40:]); got != 16 {
 		t.Errorf("total = %d", got)
 	}
 	if want := frameHeaderSizeV2 + 8*4; len(data) != want {
 		t.Errorf("frame length = %d, want %d", len(data), want)
 	}
-	if got := math.Float64frombits(getU64(data[frameHeaderSizeV2:])); got != 0.25 {
+	if got := math.Float64frombits(le.Uint64(data[frameHeaderSizeV2:])); got != 0.25 {
 		t.Errorf("payload[0] = %v", got)
-	}
-}
-
-// TestSubFrameStepMatchesV1PlusGeometry pins the compatibility claim in the
-// subframe.go header comment: a geometry-free v2 frame is byte-for-byte the
-// v1 frame with the version bumped and eight zero bytes spliced in before
-// the payload.
-func TestSubFrameStepMatchesV1PlusGeometry(t *testing.T) {
-	e := goldenSubFrameEnvelopes()["subframe-step"]
-	v1, err := EncodeFrame(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := EncodeSubFrame(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]byte(nil), v1[:frameHeaderSize]...)
-	want[4] = frameVersion2
-	want = append(want, 0, 0, 0, 0, 0, 0, 0, 0)
-	want = append(want, v1[frameHeaderSize:]...)
-	if !bytes.Equal(v2, want) {
-		t.Fatalf("v2 step frame is not v1 + version bump + zero geometry:\n got %x\nwant %x", v2, want)
 	}
 }
 
@@ -143,6 +170,13 @@ func TestAppendSubFrameRejections(t *testing.T) {
 			Coded: []float64{1}},
 		"span exceeds total": {Kind: MsgGradient, Worker: 1, Offset: 3, Total: 4,
 			Coded: []float64{1, 1}},
+		"step over limit":       {Kind: MsgStep, Step: maxFrameID + 1},
+		"payload on hello":      {Kind: MsgHello, Params: []float64{1}},
+		"payload on heartbeat":  {Kind: MsgHeartbeat, Coded: []float64{1}},
+		"params on gradient":    {Kind: MsgGradient, Worker: 1, Params: []float64{1}, Total: 1},
+		"coded on step":         {Kind: MsgStep, Coded: []float64{1}},
+		"negative worker":       {Kind: MsgGradient, Worker: -1, Coded: []float64{1}, Total: 1},
+		"negative compute time": {Kind: MsgGradient, Worker: 1, ComputeDurNanos: -1, Coded: []float64{1}, Total: 1},
 	}
 	for name, e := range cases {
 		if _, err := AppendSubFrame(nil, e); err == nil {
@@ -163,21 +197,32 @@ func TestDecodeSubFrameRejections(t *testing.T) {
 		f(d)
 		return d
 	}
+	le := binary.LittleEndian
 	cases := map[string][]byte{
 		"empty":             nil,
 		"truncated header":  valid[:20],
 		"truncated payload": valid[:len(valid)-1],
 		"trailing byte":     append(append([]byte(nil), valid...), 0),
 		"bad magic":         mutate(func(d []byte) { d[0] ^= 0xff }),
-		"v1 version":        mutate(func(d []byte) { d[4] = frameVersion }),
+		"v1 version":        mutate(func(d []byte) { d[4] = 1 }),
 		"future version":    mutate(func(d []byte) { d[4] = frameVersion2 + 1 }),
 		"unknown type":      mutate(func(d []byte) { d[5] = 99 }),
 		"nonzero reserved":  mutate(func(d []byte) { d[6] = 1 }),
-		"dim overflow":      mutate(func(d []byte) { putU32(d[32:], maxVectorLen+1) }),
-		"offset overflow":   mutate(func(d []byte) { putU32(d[36:], maxVectorLen+1) }),
-		"zero total":        mutate(func(d []byte) { putU32(d[40:], 0) }),
+		"dim overflow":      mutate(func(d []byte) { le.PutUint32(d[32:], maxVectorLen+1) }),
+		"offset overflow":   mutate(func(d []byte) { le.PutUint32(d[36:], maxVectorLen+1) }),
+		"zero total":        mutate(func(d []byte) { le.PutUint32(d[40:], 0) }),
 		// offset 3 + dim 4 lands at 7, past a shrunken total of 5.
-		"span exceeds total": mutate(func(d []byte) { putU32(d[40:], 5) }),
+		"span exceeds total": mutate(func(d []byte) { le.PutUint32(d[40:], 5) }),
+		"worker over limit":  mutate(func(d []byte) { le.PutUint32(d[8:], maxFrameID+1) }),
+		// A one-word payload on a payload-free kind, consistent in length.
+		"payload on heartbeat": func() []byte {
+			hb, err := EncodeSubFrame(goldenSubFrameEnvelopes()["subframe-heartbeat"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			le.PutUint32(hb[32:], 1)
+			return append(hb, make([]byte, 8)...)
+		}(),
 	}
 	for name, data := range cases {
 		if e, err := DecodeSubFrame(data); err == nil {

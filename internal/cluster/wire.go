@@ -5,13 +5,14 @@
 // gathers the fastest w (the ray.wait(w) equivalent), decodes with the
 // configured strategy, updates the parameters, and broadcasts them.
 //
-// Two codecs share one connection model. Registration always speaks gob —
-// the low-rate control exchange where self-describing encoding is cheap and
-// backward compatibility matters — and the hello exchange negotiates the
-// codec for everything after it: by default both sides upgrade to the
-// compact binary frame format of binary.go for the params/gradient hot
-// path, and a gob-only peer (an old worker, or -wire=gob) simply never
-// proposes the upgrade and keeps the legacy gob stream end to end.
+// Every connection opens in gob for the hello exchange — the low-rate
+// control step where a self-describing encoding is cheap — and then both
+// sides switch to the one data-plane codec, the binaryv2 frames of
+// subframe.go, for the params/gradient hot path. The hello names the codec
+// and the worker's proposed gather-lane count; the master answers with the
+// lanes it grants (one or more) and refuses, by closing the connection,
+// any hello that proposes anything but binaryv2. Terminal rejects
+// (MsgJobGone) and lane-attach hellos also ride in gob.
 //
 // Unlike the in-process engine, real workers do not just slow down — they
 // die. The runtime therefore layers fault tolerance on top of the paper's
@@ -70,26 +71,12 @@ const (
 	MsgJobGone = "job_gone"
 )
 
-// Wire codec names, as negotiated in the hello exchange and accepted by the
-// -wire CLI flag (and the Wire fields of MasterConfig/WorkerConfig).
-const (
-	// WireGob keeps the legacy gob stream for every message.
-	WireGob = "gob"
-	// WireBinary upgrades the connection to the binary frame codec of
-	// binary.go after the hello exchange. The version suffix is part of
-	// the negotiated name: a v2 peer negotiates "binaryv2" and a v1
-	// peer falls back to gob instead of misparsing frames.
-	WireBinary = "binaryv1"
-	// WireBinary2 is the dim-sharded extension of the binary codec: the
-	// same frame grammar with a 44-byte header carrying an (offset, total)
-	// sub-frame geometry, so one step's gradient may arrive split across
-	// several parallel lane connections (see subframe.go). A worker
-	// proposes it only when it wants more than one gather lane; a master
-	// that does not speak it falls back to gob per the versioning rule
-	// above, and a v2-capable master may still negotiate down to v1 when
-	// sharding is disabled on its side.
-	WireBinary2 = "binaryv2"
-)
+// WireBinary2 names the one data-plane codec in the hello exchange: the
+// binaryv2 frames of subframe.go, whose 44-byte header carries an
+// (offset, total) sub-frame geometry so one step's gradient may arrive
+// split across several parallel lane connections. A worker always
+// proposes it, and a master refuses any other proposal.
+const WireBinary2 = "binaryv2"
 
 // maxGatherShards caps how many parallel gather lanes one worker may
 // negotiate. The win saturates with the memory bandwidth of a handful of
@@ -99,19 +86,6 @@ const maxGatherShards = 16
 
 // maxWireNameLen caps the negotiation string a peer may claim in a hello.
 const maxWireNameLen = 64
-
-// ParseWire canonicalizes a -wire flag value ("" and "binary" mean the
-// current binary version; "gob" forces the legacy codec).
-func ParseWire(s string) (string, error) {
-	switch s {
-	case "", "binary", WireBinary:
-		return WireBinary, nil
-	case WireGob:
-		return WireGob, nil
-	default:
-		return "", fmt.Errorf("cluster: unknown wire codec %q (want gob or binary)", s)
-	}
-}
 
 // maxVectorLen caps the Params/Coded length a peer may claim: a malformed
 // or hostile envelope must not be able to commit the receiver to an absurd
@@ -140,12 +114,11 @@ type Envelope struct {
 	// ComputeDurNanos is how long the gradient computation took
 	// (Gradient; 0 = not reported).
 	ComputeDurNanos int64
-	// Wire is the codec negotiation field of the hello exchange: on a
-	// worker's MsgHello it names the codec the worker proposes to upgrade
-	// to (empty = stay on gob, which is what pre-negotiation workers
-	// send); on the master's MsgHello ack it names the codec chosen for
-	// the rest of the connection. It rides only in gob messages — binary
-	// frames cannot carry it, by construction.
+	// Wire is the codec field of the hello exchange: a worker's MsgHello
+	// and the master's ack both name WireBinary2, the codec for the rest
+	// of the connection; a master closes a connection whose hello names
+	// anything else. It rides only in gob messages — binary frames cannot
+	// carry it, by construction.
 	Wire string
 	// Gen is the master's run generation on a MsgHello ack: 0 for a
 	// first-life master, +1 per checkpoint restore or standby failover. A
@@ -153,22 +126,21 @@ type Envelope struct {
 	// from a durable checkpoint. Rides only in gob hello messages, like
 	// Wire.
 	Gen int
-	// Shards is the gather-lane negotiation field of the binaryv2 hello
-	// exchange: on a worker's MsgHello it proposes how many parallel lane
+	// Shards is the gather-lane negotiation field of the hello exchange:
+	// on a worker's MsgHello it proposes how many parallel lane
 	// connections the worker wants for its gradient uploads; on the
-	// master's ack it names the granted count. Rides only in gob hello
-	// messages, like Wire.
+	// master's ack it names the granted count (1 = the primary connection
+	// only). Rides only in gob hello messages, like Wire.
 	Shards int
 	// Shard tags a lane-attach MsgHello with the lane index (1..Shards-1)
 	// it registers; the primary connection is lane 0 and never sets it.
 	// Rides only in gob hello messages.
 	Shard int
-	// Offset is the first gradient element a binaryv2 sub-frame carries
-	// (Gradient only; whole uploads use 0).
+	// Offset is the first gradient element a sub-frame carries (Gradient
+	// only; single-lane uploads use 0).
 	Offset int
-	// Total is the full gradient dimension a binaryv2 sub-frame belongs
-	// to (Gradient only; 0 on v1 envelopes, which always carry whole
-	// vectors).
+	// Total is the full gradient dimension a sub-frame belongs to
+	// (Gradient only; every gradient frame carries a positive Total).
 	Total int
 }
 
@@ -283,18 +255,18 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// conn wraps a net.Conn with the negotiated codec. Every connection starts
-// in gob mode (the registration exchange); upgrade switches both directions
-// to binary frames at a message boundary, which is safe because gob never
-// reads past the end of a message. recv is safe for a single goroutine;
-// send is serialized internally so that heartbeat goroutines, broadcasts,
-// and rejoin replies may share one connection.
+// conn wraps a net.Conn with its codec state. Every connection starts in
+// gob mode (the registration exchange); upgrade switches both directions
+// to binaryv2 frames at a message boundary, which is safe because gob
+// never reads past the end of a message. recv is safe for a single
+// goroutine; send is serialized internally so that heartbeat goroutines,
+// broadcasts, and rejoin replies may share one connection.
 type conn struct {
 	raw net.Conn
 	// w is the write side (wrapped in the counting layer when metrics are
-	// on), shared by both codecs so sent-bytes always counts framed bytes.
+	// on), shared by both phases so sent-bytes always counts framed bytes.
 	w io.Writer
-	// r is the single buffered reader both codecs share. This is load-
+	// r is the single buffered reader both phases share. This is load-
 	// bearing for the upgrade: gob.NewDecoder silently wraps any non-
 	// ByteReader in its own bufio.Reader, whose readahead would swallow
 	// the first binary frames if the frame parser read from raw directly.
@@ -302,27 +274,22 @@ type conn struct {
 	// byte visible to whichever codec reads next.
 	r   *bufio.Reader
 	dec *gob.Decoder
-	// binary is set by upgrade: all subsequent messages are frames.
-	binary bool
-	// wireV2 selects the 44-byte binaryv2 header (sub-frame geometry) for
-	// both directions; set together with binary by upgradeV2.
-	wireV2 bool
-	// reuseVecs lets recvFrame decode payload vectors into a reusable
+	// framed is set by upgrade: all subsequent messages are binaryv2
+	// frames.
+	framed bool
+	// reuseVecs lets recvFrameV2 decode payload vectors into a reusable
 	// per-connection scratch slice. Only safe when the consumer never
 	// retains a received vector past the next recv — true for the worker
 	// (params are consumed within the step), never for the master
 	// (gradient ownership transfers to the gather loop).
 	reuseVecs bool
-	// gradReserve, when set on a binaryv2 connection, maps an incoming
-	// gradient sub-frame (worker, step, offset, count, total) to the
-	// destination slice its payload decodes into — the zero-copy
-	// reassembly hook the master's shard assembler provides. Returning
-	// nil declines the sub-frame (stale, overlapping, or out of range):
-	// the payload bytes are still drained but not decoded, and the
-	// envelope surfaces with a nil Coded.
-	gradReserve func(worker, step, offset, count, total int) []float64
-	// hdrScratch is sized for the larger v2 header; v1 frames use the
-	// first frameHeaderSize bytes.
+	// gradReserve, when set, maps an incoming gradient sub-frame (worker,
+	// step, offset, count, total) to the destination slice its payload
+	// decodes into — the zero-copy reassembly hook the master's shard
+	// assembler provides. Returning nil declines the sub-frame (stale,
+	// overlapping, or out of range): the payload bytes are still drained
+	// but not decoded, and the envelope surfaces with a nil Coded.
+	gradReserve    func(worker, step, offset, count, total int) []float64
 	hdrScratch     [frameHeaderSizeV2]byte
 	payloadScratch []byte
 	vecScratch     []float64
@@ -345,23 +312,13 @@ func newConn(c net.Conn, writeTimeout time.Duration, sent *metrics.Counter) *con
 	return &conn{raw: c, w: w, r: r, enc: gob.NewEncoder(w), dec: gob.NewDecoder(r), writeTimeout: writeTimeout}
 }
 
-// upgrade switches the connection to the binary frame codec for both
-// directions. It must be called at a protocol quiet point — after the hello
-// exchange, before the connection is visible to broadcasts or readers — on
-// both peers of the connection.
+// upgrade switches the connection to binaryv2 frames for both directions.
+// It must be called at a protocol quiet point — after the hello exchange,
+// before the connection is visible to broadcasts or readers — on both
+// peers of the connection.
 func (c *conn) upgrade(reuseVecs bool) {
 	c.sendMu.Lock()
-	c.binary = true
-	c.reuseVecs = reuseVecs
-	c.sendMu.Unlock()
-}
-
-// upgradeV2 switches the connection to the binaryv2 sub-frame codec. Same
-// quiet-point contract as upgrade.
-func (c *conn) upgradeV2(reuseVecs bool) {
-	c.sendMu.Lock()
-	c.binary = true
-	c.wireV2 = true
+	c.framed = true
 	c.reuseVecs = reuseVecs
 	c.sendMu.Unlock()
 }
@@ -375,12 +332,9 @@ func (c *conn) send(e *Envelope) error {
 		}
 	}
 	var err error
-	switch {
-	case c.wireV2:
+	if c.framed {
 		err = c.sendFrameV2(e)
-	case c.binary:
-		err = c.sendFrame(e)
-	default:
+	} else {
 		err = c.enc.Encode(e)
 	}
 	if err != nil {
@@ -393,11 +347,8 @@ func (c *conn) send(e *Envelope) error {
 }
 
 func (c *conn) recv() (*Envelope, error) {
-	if c.wireV2 {
+	if c.framed {
 		return c.recvFrameV2()
-	}
-	if c.binary {
-		return c.recvFrame()
 	}
 	return decodeEnvelope(c.dec)
 }
@@ -405,88 +356,56 @@ func (c *conn) recv() (*Envelope, error) {
 func (c *conn) close() error { return c.raw.Close() }
 
 // clientHello runs the worker side of the registration exchange on a fresh
-// connection: send the gob hello (carrying the last completed step on a
-// rejoin and, unless the worker is pinned to gob, the proposed codec), and
-// — only when an upgrade was proposed — wait for the master's ack naming
-// the chosen codec and switch to it. A gob-pinned worker sends exactly the
-// pre-negotiation hello and expects no ack, which is what keeps old
-// workers and new masters interoperable in both pairings.
-//
-// shards > 1 raises the proposal to binaryv2 with that many gather lanes;
-// the returned ack (nil on the no-ack gob path) carries the granted lane
-// count and the master's generation, which the caller needs to attach the
-// extra lane connections. A master that only speaks v1 answers the unknown
-// "binaryv2" proposal with a gob ack (the documented fallback), and a
-// v2-capable master may negotiate down to v1 when sharding is off on its
-// side — the worker then runs a single lane either way.
-func clientHello(c *conn, id, step int, wire string, shards int) (string, *Envelope, error) {
-	hello := &Envelope{Kind: MsgHello, Worker: id, Step: step}
-	if wire != WireGob {
-		if shards > 1 {
-			hello.Wire = WireBinary2
-			hello.Shards = shards
-		} else {
-			hello.Wire = WireBinary
-		}
+// connection: send the gob hello proposing binaryv2 with max(1, shards)
+// gather lanes (and carrying the last completed step on a rejoin), then
+// await the master's ack. The returned ack carries the granted lane count
+// and the master's generation, which the caller needs to attach the extra
+// lane connections.
+func clientHello(c *conn, id, step, shards int) (*Envelope, error) {
+	if shards < 1 {
+		shards = 1
 	}
-	if err := c.send(hello); err != nil {
-		return "", nil, err
+	if err := c.send(&Envelope{Kind: MsgHello, Worker: id, Step: step, Wire: WireBinary2, Shards: shards}); err != nil {
+		return nil, err
 	}
-	if hello.Wire == "" {
-		return WireGob, nil, nil
-	}
-	_ = c.raw.SetReadDeadline(time.Now().Add(wireAckTimeout))
-	ack, err := c.recv()
-	if err != nil {
-		return "", nil, fmt.Errorf("cluster: wire negotiation: %w", err)
-	}
-	_ = c.raw.SetReadDeadline(time.Time{})
-	if ack.Kind == MsgJobGone {
-		return "", nil, ErrJobGone
-	}
-	if ack.Kind != MsgHello {
-		return "", nil, fmt.Errorf("cluster: wire negotiation: got %s before hello ack", ack.Kind)
-	}
-	switch ack.Wire {
-	case WireBinary2:
-		c.upgradeV2(true)
-		return WireBinary2, ack, nil
-	case WireBinary:
-		c.upgrade(true)
-		return WireBinary, ack, nil
-	}
-	return WireGob, ack, nil
+	return awaitAck(c, "wire negotiation")
 }
 
 // laneHello attaches one extra gather-lane connection to an already
-// registered binaryv2 worker: a gob hello tagged with the lane index and
-// the master's generation (so a lane from a previous life cannot attach to
-// a reborn master), answered by a binaryv2 ack, after which the lane
-// speaks sub-frames only.
+// registered worker: a gob hello tagged with the lane index and the
+// master's generation (so a lane from a previous life cannot attach to a
+// reborn master), answered by a binaryv2 ack, after which the lane speaks
+// sub-frames only.
 func laneHello(c *conn, id, lane, gen int) error {
-	hello := &Envelope{Kind: MsgHello, Worker: id, Wire: WireBinary2, Shard: lane, Gen: gen}
-	if err := c.send(hello); err != nil {
+	if err := c.send(&Envelope{Kind: MsgHello, Worker: id, Wire: WireBinary2, Shard: lane, Gen: gen}); err != nil {
 		return err
 	}
+	_, err := awaitAck(c, fmt.Sprintf("lane %d negotiation", lane))
+	return err
+}
+
+// awaitAck reads the master's gob answer to a hello and switches the
+// connection to frames. MsgJobGone surfaces as ErrJobGone; an ack naming
+// any other codec is a negotiation error — a worker never falls back.
+func awaitAck(c *conn, what string) (*Envelope, error) {
 	_ = c.raw.SetReadDeadline(time.Now().Add(wireAckTimeout))
 	ack, err := c.recv()
 	if err != nil {
-		return fmt.Errorf("cluster: lane %d negotiation: %w", lane, err)
+		return nil, fmt.Errorf("cluster: %s: %w", what, err)
 	}
 	_ = c.raw.SetReadDeadline(time.Time{})
 	if ack.Kind == MsgJobGone {
-		return ErrJobGone
+		return nil, ErrJobGone
 	}
 	if ack.Kind != MsgHello || ack.Wire != WireBinary2 {
-		return fmt.Errorf("cluster: lane %d negotiation: got %s wire %q", lane, ack.Kind, ack.Wire)
+		return nil, fmt.Errorf("cluster: %s: got %s wire %q", what, ack.Kind, ack.Wire)
 	}
-	c.upgradeV2(true)
-	return nil
+	c.upgrade(true)
+	return ack, nil
 }
 
-// wireAckTimeout bounds the wait for the master's hello ack: a peer that
-// accepted the hello but never answers the negotiation is indistinguishable
-// from a pre-negotiation master, and hanging on it would be worse than the
+// wireAckTimeout bounds the wait for the master's hello ack: hanging on a
+// peer that accepted the hello but never answers would be worse than the
 // explicit error.
 const wireAckTimeout = 5 * time.Second
 

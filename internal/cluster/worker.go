@@ -79,18 +79,11 @@ type WorkerConfig struct {
 	// registering, so delay/fault sampling resumes bit-identically and the
 	// hello reports the pre-restart step count.
 	Restore bool
-	// Wire selects the wire codec the worker proposes in its hello:
-	// WireBinary (or empty, the default) upgrades to binary frames when
-	// the master agrees; WireGob pins the connection to the legacy gob
-	// stream and skips the negotiation entirely.
-	Wire string
-	// GatherShards, when > 1, proposes the binaryv2 dim-sharded upload:
-	// the worker opens that many parallel lane connections and splits
-	// every gradient into contiguous sub-frames sent concurrently, one
-	// per lane. The master may grant fewer lanes; a master that does not
-	// speak binaryv2 falls back per the negotiation rules and the worker
-	// runs a single lane. 0 or 1 keeps the classic single-stream upload
-	// (the default, bit-identical to the pre-sharding wire).
+	// GatherShards, when > 1, proposes the dim-sharded upload: the worker
+	// opens that many parallel lane connections and splits every gradient
+	// into contiguous sub-frames sent concurrently, one per lane. The
+	// master may grant fewer lanes. 0 or 1 uploads each gradient as one
+	// whole-vector sub-frame on the primary connection (the default).
 	GatherShards int
 	// Metrics, when non-nil, receives live instrumentation (compute time,
 	// upload bytes, reconnects); serve it via the admin package.
@@ -109,9 +102,9 @@ type Worker struct {
 	cfg WorkerConfig
 	// connMu guards the w.c pointer itself: reconnect (Run's goroutine)
 	// replaces it while Stop (signal-handler goroutine) reads it to close.
-	// It also guards lanes, the extra binaryv2 gather-lane connections
-	// (empty on a single-stream negotiation); shards is the negotiated
-	// lane count including the primary (1 = unsharded).
+	// It also guards lanes, the extra gather-lane connections (empty on a
+	// single-lane grant); shards is the granted lane count including the
+	// primary.
 	connMu sync.Mutex
 	c      *conn
 	lanes  []*conn
@@ -185,11 +178,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	wireCfg, err := ParseWire(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Wire = wireCfg
 	if cfg.GatherShards < 0 || cfg.GatherShards > maxGatherShards {
 		return nil, fmt.Errorf("cluster: worker %d: gather shards %d outside [0, %d]", cfg.ID, cfg.GatherShards, maxGatherShards)
 	}
@@ -224,17 +212,17 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	c := newConn(raw, defaultWriteTimeout, cfg.Metrics.sentCounter())
-	wire, ack, err := clientHello(c, cfg.ID, startSteps, cfg.Wire, cfg.GatherShards)
+	ack, err := clientHello(c, cfg.ID, startSteps, cfg.GatherShards)
 	if err != nil {
 		_ = c.close()
 		return nil, err
 	}
-	lanes, shards, err := dialLanes(wire, ack, cfg)
+	lanes, shards, err := dialLanes(ack, cfg)
 	if err != nil {
 		_ = c.close()
 		return nil, err
 	}
-	cfg.Metrics.markWire(wire)
+	cfg.Metrics.markWire(WireBinary2)
 	cfg.Metrics.setGatherLanes(shards)
 	w := &Worker{
 		cfg:            cfg,
@@ -265,7 +253,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w.setConnected(true)
 	w.startHeartbeat()
 	cfg.Events.Info("worker.connected", "registered with master", events.NoStep, cfg.ID,
-		events.Fields{"addr": cfg.Addr, "wire": wire})
+		events.Fields{"addr": cfg.Addr, "lanes": shards})
 	if resumed != nil {
 		cfg.Events.Info("worker.restored", "resumed from checkpoint", events.NoStep, cfg.ID,
 			events.Fields{"steps": resumed.Steps, "delay_draws": resumed.DelayDraws, "fault_draws": resumed.FaultDraws})
@@ -274,14 +262,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-// dialLanes opens the extra gather-lane connections a binaryv2 negotiation
+// dialLanes opens the extra gather-lane connections the master's ack
 // granted — lanes 1..shards-1, each attached via laneHello under the
 // master's generation — and returns them with the effective lane count
-// (primary included). A v1 or gob negotiation has no lanes.
-func dialLanes(wire string, ack *Envelope, cfg WorkerConfig) ([]*conn, int, error) {
-	if wire != WireBinary2 || ack == nil {
-		return nil, 1, nil
-	}
+// (primary included). A single-lane grant has no extra lanes.
+func dialLanes(ack *Envelope, cfg WorkerConfig) ([]*conn, int, error) {
 	shards := ack.Shards
 	if shards > cfg.GatherShards {
 		shards = cfg.GatherShards // never open more lanes than configured
@@ -397,14 +382,6 @@ func (w *Worker) Run() (int, error) {
 		switch e.Kind {
 		case MsgStop:
 			return int(w.steps.Load()), nil
-		case MsgJobGone:
-			// Terminal reject from a done master (a gob-pinned worker gets
-			// it as a regular message rather than a hello-ack): the job is
-			// gone for good, so leave without redialing.
-			w.jobGone.Store(true)
-			w.cfg.Events.Info("worker.job_gone", "master rejected registration: job no longer exists",
-				events.NoStep, w.cfg.ID, nil)
-			return int(w.steps.Load()), nil
 		case MsgStep:
 			action := straggler.FaultNone
 			if w.cfg.Fault != nil && e.Step > w.faultedThrough {
@@ -433,6 +410,13 @@ func (w *Worker) Run() (int, error) {
 			if err != nil {
 				return int(w.steps.Load()), err
 			}
+			// The step is served once its gradient is computed, whether or
+			// not the upload lands (an injected drop, or a send that loses
+			// the race with the master's stop): counted here, right after
+			// computeStep observed the compute time, the step counter and
+			// the compute histogram always agree.
+			w.steps.Add(1)
+			w.cfg.Metrics.markStep()
 			w.cfg.Timeline.Add(events.Span{Name: "compute", Cat: "compute", TID: w.cfg.ID + 1,
 				Start: computeStart, Dur: computeDur, Args: map[string]any{"step": e.Step}})
 			if w.cfg.Delay != nil {
@@ -442,8 +426,6 @@ func (w *Worker) Run() (int, error) {
 					Start: delayStart, Dur: time.Since(delayStart), Args: map[string]any{"step": e.Step}})
 			}
 			if action == straggler.FaultDrop {
-				w.steps.Add(1) // computed, but the upload is lost
-				w.cfg.Metrics.markStep()
 				w.cfg.Metrics.markDrop()
 				w.cfg.Events.Warn("worker.upload_dropped", "injected drop; gradient not sent",
 					e.Step, w.cfg.ID, nil)
@@ -455,25 +437,20 @@ func (w *Worker) Run() (int, error) {
 				}
 				return int(w.steps.Load()), nil // master already gone
 			}
-			w.steps.Add(1)
-			w.cfg.Metrics.markStep()
 		}
 	}
 }
 
-// sendGradient uploads one step's coded gradient: a single whole envelope
-// on a classic connection, or — when binaryv2 lanes were negotiated —
-// contiguous sub-frames encoded and sent concurrently, one per lane. The
-// sends complete before sendGradient returns, so the encoder's reusable
-// buffer (SumEncoder's contract) is never read after the next encode.
+// sendGradient uploads one step's coded gradient as contiguous sub-frames
+// encoded and sent concurrently, one per granted lane (a single
+// whole-vector sub-frame on the primary connection when one lane was
+// granted). The sends complete before sendGradient returns, so the
+// encoder's reusable buffer (SumEncoder's contract) is never read after
+// the next encode.
 func (w *Worker) sendGradient(step int, coded []float64, computeStart time.Time, computeDur time.Duration) error {
 	w.connMu.Lock()
 	c, lanes, shards := w.c, w.lanes, w.shards
 	w.connMu.Unlock()
-	if !c.wireV2 {
-		return c.send(&Envelope{Kind: MsgGradient, Worker: w.cfg.ID, Step: step, Coded: coded,
-			ComputeStartUnixNano: computeStart.UnixNano(), ComputeDurNanos: int64(computeDur)})
-	}
 	spans := shardSpans(len(coded), shards)
 	conns := make([]*conn, 0, len(spans))
 	conns = append(conns, c)
@@ -524,10 +501,10 @@ func (w *Worker) reconnect() bool {
 		raw, err := net.DialTimeout("tcp", w.cfg.Addr, 500*time.Millisecond)
 		if err == nil {
 			c := newConn(raw, defaultWriteTimeout, w.cfg.Metrics.sentCounter())
-			// A rejoin renegotiates the codec from scratch: the fresh
-			// connection starts in gob like any other registration, and a
-			// sharded worker re-dials its lanes under the new generation.
-			wire, ack, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()), w.cfg.Wire, w.cfg.GatherShards)
+			// A rejoin renegotiates from scratch: the fresh connection
+			// starts in gob like any other registration, and a sharded
+			// worker re-dials its lanes under the new generation.
+			ack, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()), w.cfg.GatherShards)
 			if errors.Is(helloErr, ErrJobGone) {
 				// Terminal reject: whoever answers this address says the job
 				// no longer exists. Burning the rest of the redial budget
@@ -539,9 +516,9 @@ func (w *Worker) reconnect() bool {
 				return false
 			}
 			if helloErr == nil {
-				lanes, shards, laneErr := dialLanes(wire, ack, w.cfg)
+				lanes, shards, laneErr := dialLanes(ack, w.cfg)
 				if laneErr == nil {
-					w.cfg.Metrics.markWire(wire)
+					w.cfg.Metrics.markWire(WireBinary2)
 					w.cfg.Metrics.setGatherLanes(shards)
 					w.connMu.Lock()
 					w.c = c
@@ -562,7 +539,7 @@ func (w *Worker) reconnect() bool {
 					w.setConnected(true)
 					w.startHeartbeat()
 					w.cfg.Events.Info("worker.reconnected", "re-registered after connection loss",
-						events.NoStep, w.cfg.ID, events.Fields{"completed_steps": w.steps.Load(), "wire": wire, "lanes": shards})
+						events.NoStep, w.cfg.ID, events.Fields{"completed_steps": w.steps.Load(), "lanes": shards})
 					return true
 				}
 			}
