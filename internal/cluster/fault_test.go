@@ -521,3 +521,139 @@ func TestMasterRejectsMalformedGradient(t *testing.T) {
 		t.Fatalf("malformed count = %d, want 1", master.MalformedGradients())
 	}
 }
+
+// TestTruncatedPayloadReleasesSpan: a lane that dies halfway through a
+// gradient payload must hand its reserved span back. The master reserves
+// the span before reading the payload, so a read cut short would
+// otherwise leave it behind, and the worker's re-upload of that step
+// after rejoining would be refused as an overlap and counted malformed.
+// Worker 1, a plain single-lane peer, holds its gradient until worker 0
+// is back, so the step waits for both.
+func TestTruncatedPayloadReleasesSpan(t *testing.T) {
+	st, err := engine.NewISSGD(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
+	dim := len(mdl.InitParams(42))
+	gate := newEventGate("master.worker_evicted")
+	master, err := NewMaster(MasterConfig{
+		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: testData(t),
+		LearningRate: 0.3, W: 2, MaxSteps: 1, Seed: 42,
+		Events: events.New(events.Config{Writer: gate}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var res *engine.Result
+	var runErr error
+	go func() {
+		defer close(done)
+		res, runErr = master.Run()
+	}()
+
+	dial := func() *conn {
+		raw, err := net.Dial("tcp", master.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newConn(raw, 0, nil)
+	}
+	c := dial()
+	defer c.close()
+	ack, err := clientHello(c, 0, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Shards != 2 {
+		t.Fatalf("granted %d lanes, want 2", ack.Shards)
+	}
+	lane := dial()
+	defer lane.close()
+	if err := laneHello(lane, 0, 1, ack.Gen); err != nil {
+		t.Fatal(err)
+	}
+	other := dial()
+	defer other.close()
+	if _, err := clientHello(other, 1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	step, err := c.recv()
+	if err != nil || step.Kind != MsgStep {
+		t.Fatalf("expected a step broadcast, got %v %v", step, err)
+	}
+	s := step.Step
+	if _, err := other.recv(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Lane 1 carries the upper span; cut its payload off halfway.
+	span := shardSpans(dim, 2)[1]
+	frame, err := EncodeSubFrame(&Envelope{Kind: MsgGradient, Worker: 0, Step: s,
+		Coded: make([]float64, span[1]), Offset: span[0], Total: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lane.raw.Write(frame[:frameHeaderSizeV2+8*(span[1]/2)]); err != nil {
+		t.Fatal(err)
+	}
+	_ = lane.close()
+	select {
+	case <-gate.open:
+	case <-time.After(20 * time.Second):
+		t.Fatal("master never evicted the worker whose lane died mid-payload")
+	}
+	asm := master.shardAsmFor(0)
+	asm.mu.Lock()
+	var left int
+	if sb := asm.steps[s]; sb != nil {
+		left = len(sb.spans)
+	}
+	asm.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d reserved spans left behind by the truncated payload", left)
+	}
+
+	// Rejoin on one lane and re-upload the whole step; then worker 1
+	// delivers.
+	_ = c.close()
+	c2 := dial()
+	defer c2.close()
+	if _, err := clientHello(c2, 0, s, 1); err != nil {
+		t.Fatal(err)
+	}
+	resume, err := c2.recv()
+	if err != nil || resume.Kind != MsgStep || resume.Step != s {
+		t.Fatalf("expected step %d re-sent on rejoin, got %v %v", s, resume, err)
+	}
+	for _, up := range []struct {
+		c  *conn
+		id int
+	}{{c2, 0}, {other, 1}} {
+		if err := up.c.send(&Envelope{Kind: MsgGradient, Worker: up.id, Step: s,
+			Coded: make([]float64, dim), Total: dim}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("master never finished the step")
+	}
+	if runErr != nil {
+		t.Fatalf("master: %v", runErr)
+	}
+	if res.Run.Steps() != 1 {
+		t.Fatalf("steps = %d, want 1", res.Run.Steps())
+	}
+	if got := master.MalformedGradients(); got != 0 {
+		t.Fatalf("malformed count = %d, want 0: the re-upload was refused", got)
+	}
+	if got := master.ArrivalCounts()[0]; got != 1 {
+		t.Fatalf("worker 0's re-upload gathered %d times, want 1", got)
+	}
+	if got := master.Rejoins(); got != 1 {
+		t.Fatalf("rejoins = %d, want 1", got)
+	}
+}

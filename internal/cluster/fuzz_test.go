@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 )
@@ -71,7 +72,8 @@ func FuzzDecodeMessage(f *testing.F) {
 // both directions — binaryv1's version byte included — dim, offset and
 // total overflow, zero-total gradients), and the encoding is canonical:
 // whatever decodes must re-encode to the exact input bytes, sub-frame
-// geometry included.
+// geometry included. The payload must also decode to the same bits as
+// the portable little-endian loop, whatever the host's byte order.
 func FuzzDecodeSubFrame(f *testing.F) {
 	for _, e := range goldenSubFrameEnvelopes() {
 		data, err := EncodeSubFrame(e)
@@ -119,6 +121,16 @@ func FuzzDecodeSubFrame(f *testing.F) {
 		}
 		if e.Wire != "" || e.Shards != 0 || e.Shard != 0 {
 			t.Fatalf("v2 frame produced negotiation fields: %+v", e)
+		}
+		// The native byte-view decode must agree bit for bit with the
+		// portable loop, NaN payloads included.
+		got := append(e.Params, e.Coded...)
+		want := make([]float64, len(got))
+		decodePayloadPortable(data[frameHeaderSizeV2:], want)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("payload word %d: native %#x, portable %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
 		}
 		re, err := AppendSubFrame(nil, e)
 		if err != nil {

@@ -655,10 +655,10 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 		_ = c.close()
 		return
 	}
-	// Every gradient is a sub-frame: decode its payload straight into the
+	// Every gradient is a sub-frame: read its payload straight into the
 	// shard assembler's gather buffer. Gradient ownership transfers to the
 	// gather loop, so the connection never reuses vectors.
-	c.gradReserve = m.shardAsmFor(id).reserveFor
+	c.asm = m.shardAsmFor(id)
 	c.upgrade(false)
 	m.cfg.Metrics.markWire(WireBinary2)
 
@@ -799,6 +799,22 @@ func (m *Master) deliverGradient(id int, e *Envelope) bool {
 		return false
 	}
 	return true
+}
+
+// recycle returns an arrival's gather buffer to its worker's assembler.
+// The step loop calls it once it is done with the vector: every strategy's
+// Recover allocates its own result and keeps no reference to its inputs.
+func (m *Master) recycle(a arrival) {
+	m.shardAsmFor(a.worker).release(a.coded)
+}
+
+// recycleGathered recycles every gradient a step gathered, after the
+// update consumed them.
+func (m *Master) recycleGathered(avail *bitset.Set, coded [][]float64) {
+	avail.Range(func(w int) bool {
+		m.shardAsmFor(w).release(coded[w])
+		return true
+	})
 }
 
 // pokeLiveness nudges whoever is blocked on the gather/accept select to
@@ -1115,6 +1131,7 @@ func (m *Master) runSync(ts *trainState, res *engine.Result) (*engine.Result, er
 					}
 					m.attribution.ObserveIgnored(s)
 				}
+				m.recycle(a)
 				return
 			}
 			if len(a.coded) != dim {
@@ -1184,6 +1201,7 @@ func (m *Master) runSync(ts *trainState, res *engine.Result) (*engine.Result, er
 		if recovered > 0 {
 			linalg.AXPY(params, -m.cfg.LearningRate/float64(recovered), ghat)
 		}
+		m.recycleGathered(avail, coded)
 		loss := pool.Loss(params, m.cfg.Model, all)
 		updateEnd := time.Now()
 		if m.cfg.Timeline != nil {
@@ -1318,6 +1336,7 @@ func (m *Master) runPipelined(ts *trainState, res *engine.Result) (*engine.Resul
 			p.mask.Add(pt)
 		}
 		folded++
+		m.recycle(a)
 		m.accepted[a.worker].Add(1)
 		m.cfg.Metrics.markAccepted(a.worker)
 		m.cfg.Metrics.markFolded()
@@ -1451,6 +1470,7 @@ func (m *Master) runPipelined(ts *trainState, res *engine.Result) (*engine.Resul
 					}
 					m.attribution.ObserveIgnored(s)
 				}
+				m.recycle(a)
 				return
 			}
 			if len(a.coded) != dim {
@@ -1508,6 +1528,7 @@ func (m *Master) runPipelined(ts *trainState, res *engine.Result) (*engine.Resul
 		if recovered > 0 {
 			linalg.AXPY(params, -m.cfg.LearningRate/float64(recovered), ghat)
 		}
+		m.recycleGathered(avail, coded)
 		updateEnd := time.Now()
 		prev = &deferredStep{step: step, avail: avail.Len(), recovered: recovered,
 			aliveAt: m.countAlive(), folded: folded, recParts: recParts, degraded: degraded,
@@ -1691,6 +1712,10 @@ gather:
 // by the write timeout, so one stalled socket can neither wedge
 // registration/shutdown paths nor stall the other workers; a failed send
 // evicts the connection (its reader marks the worker dead).
+//
+// A step broadcast writes straight from the step loop's live params
+// vector, with no copy: send returns only once the bytes are in the
+// kernel, and no step loop mutates params before broadcast returns.
 func (m *Master) broadcast(e *Envelope) {
 	type target struct {
 		id int

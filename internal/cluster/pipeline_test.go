@@ -8,6 +8,7 @@ import (
 
 	"isgc/internal/dataset"
 	"isgc/internal/engine"
+	"isgc/internal/events"
 	"isgc/internal/isgc"
 	"isgc/internal/metrics"
 	"isgc/internal/model"
@@ -261,15 +262,26 @@ func TestPipelinedStalenessFoldsLateGradients(t *testing.T) {
 // t+1's broadcast — while the master runs the pipelined loop with sharded
 // lanes attached. The master must evict it (primary and lanes together)
 // and finish on the survivors.
+//
+// A record's Alive is the master's view when the step decoded, and the
+// three survivors meet the gather target on their own, so on a fast
+// enough data plane the last steps could finish before the eviction
+// lands. Worker 0 therefore holds its step-6 upload until the master
+// logs the eviction: from the crash step on, every record sees it.
 func TestPipelinedCrashMidOverlap(t *testing.T) {
+	gate := newEventGate("master.worker_evicted")
 	res, _ := runShapedCluster(t,
 		func(c *MasterConfig) {
 			c.Staleness = 1
 			c.MaxSteps = 15
 			c.LivenessTimeout = time.Second
+			c.Events = events.New(events.Config{Writer: gate})
 		},
 		func(i int, c *WorkerConfig) {
 			c.GatherShards = 2
+			if i == 0 {
+				c.Delay = &gatedDelay{from: 6, open: gate.open}
+			}
 			if i == 3 {
 				// Crash exactly at the overlap boundary: the fault fires
 				// when the worker starts step 6, i.e. after its step-5

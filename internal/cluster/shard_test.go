@@ -181,3 +181,113 @@ func TestShardAssemblerEvictsStaleSteps(t *testing.T) {
 		t.Fatalf("window eviction counted %d rejects; it is not a protocol violation", rejects)
 	}
 }
+
+// TestShardAssemblerRecyclesGatherBuffers: a released gather buffer is
+// the next step's — reserve → commit → release → reserve hands back the
+// same backing array, so a steady-state gather allocates no vectors.
+func TestShardAssemblerRecyclesGatherBuffers(t *testing.T) {
+	rejects := 0
+	a := newTestAssembler(3, &rejects)
+
+	first := a.reserveFor(0, 1, 0, 4, 4)
+	vec, done := a.commit(&Envelope{Kind: MsgGradient, Step: 1, Total: 4, Coded: first})
+	if !done {
+		t.Fatal("whole-vector span did not complete its step")
+	}
+	a.release(vec)
+	second := a.reserveFor(0, 2, 0, 4, 4)
+	if &second[0] != &first[0] {
+		t.Fatal("the next step allocated a fresh gather buffer instead of reusing the released one")
+	}
+	// A buffer too small for the next step's total is dropped, not
+	// resliced past its end.
+	vec, _ = a.commit(&Envelope{Kind: MsgGradient, Step: 2, Total: 4, Coded: second})
+	a.release(vec)
+	if wide := a.reserveFor(0, 3, 0, 8, 8); len(wide) != 8 || &wide[0] == &first[0] {
+		t.Fatal("an undersized released buffer was reused for a wider step")
+	}
+	if rejects != 0 {
+		t.Fatalf("recycling counted %d rejects", rejects)
+	}
+}
+
+// TestShardAssemblerNeverRecyclesHeldBuffers: a step still under
+// reassembly — a straggler's gradient a pipelined master keeps in its
+// fold window — holds its buffer until it completes or is evicted. No
+// other step is ever handed that buffer, before or after the eviction
+// (a lane may still be reading into an evicted buffer), and a late
+// commit into it completes nothing.
+func TestShardAssemblerNeverRecyclesHeldBuffers(t *testing.T) {
+	rejects := 0
+	a := newTestAssembler(3, &rejects)  // Staleness 1: window 1+2
+	held := a.reserveFor(0, 0, 0, 2, 4) // half of step 0: still in flight
+	for step := 1; step <= 6; step++ {
+		span := a.reserveFor(0, step, 0, 4, 4)
+		if &span[0] == &held[0] {
+			t.Fatalf("step %d was handed the buffer step 0 still holds", step)
+		}
+		vec, done := a.commit(&Envelope{Kind: MsgGradient, Step: step, Total: 4, Coded: span})
+		if !done {
+			t.Fatalf("step %d did not complete", step)
+		}
+		a.release(vec)
+	}
+	if _, tracked := a.steps[0]; tracked {
+		t.Fatal("step 0 survived past the in-flight window")
+	}
+	if _, done := a.commit(&Envelope{Kind: MsgGradient, Step: 0, Total: 4, Coded: held}); done {
+		t.Fatal("late commit into an evicted buffer completed a step")
+	}
+	for _, buf := range a.free {
+		if &buf[0] == &held[0] {
+			t.Fatal("an evicted buffer reached the free list")
+		}
+	}
+}
+
+// TestShardAssemblerCommitNeedsOwnSpan: only a span reserved from the
+// step's current buffer counts toward completing it. A commit whose
+// payload lives elsewhere — a span read into a buffer since evicted,
+// committed after a fresh buffer took over the step — cannot complete a
+// step whose buffer was never fully written.
+func TestShardAssemblerCommitNeedsOwnSpan(t *testing.T) {
+	rejects := 0
+	a := newTestAssembler(3, &rejects)
+	lo := a.reserveFor(0, 5, 0, 2, 4)
+	stranger := make([]float64, 4)
+	if _, done := a.commit(&Envelope{Kind: MsgGradient, Step: 5, Total: 4, Coded: stranger[2:]}); done {
+		t.Fatal("a span from another buffer completed the step")
+	}
+	hi := a.reserveFor(0, 5, 2, 2, 4)
+	a.commit(&Envelope{Kind: MsgGradient, Step: 5, Total: 4, Coded: lo})
+	if _, done := a.commit(&Envelope{Kind: MsgGradient, Step: 5, Total: 4, Coded: hi}); !done {
+		t.Fatal("both reserved spans committed, step not complete")
+	}
+}
+
+// TestShardAssemblerUnreserveFreesSpan: a span handed back after a failed
+// read can be reserved again — the re-upload after a rejoin is not an
+// overlap.
+func TestShardAssemblerUnreserveFreesSpan(t *testing.T) {
+	rejects := 0
+	a := newTestAssembler(3, &rejects)
+	first := a.reserveFor(0, 2, 0, 4, 4)
+	if first == nil {
+		t.Fatal("first reservation declined")
+	}
+	a.unreserve(2, make([]float64, 4)) // not this buffer's span: a no-op
+	if len(a.steps[2].spans) != 1 {
+		t.Fatal("unreserve dropped a span it did not own")
+	}
+	a.unreserve(2, first)
+	if len(a.steps[2].spans) != 0 {
+		t.Fatalf("unreserve left %d spans behind", len(a.steps[2].spans))
+	}
+	span := a.reserveFor(0, 2, 0, 4, 4)
+	if span == nil || rejects != 0 {
+		t.Fatalf("re-reservation after unreserve declined (rejects=%d)", rejects)
+	}
+	if _, done := a.commit(&Envelope{Kind: MsgGradient, Step: 2, Total: 4, Coded: span}); !done {
+		t.Fatal("re-sent span did not complete the step")
+	}
+}

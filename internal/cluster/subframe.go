@@ -4,12 +4,14 @@
 // message; at 2^16-dim gradients that overhead would dominate the master's
 // gather (the paper's per-iteration completion time, Fig. 12). A frame here
 // is a fixed 44-byte little-endian header followed by raw IEEE-754 float64
-// payload words — no reflection, no per-value framing, no unsafe.
+// payload words — no reflection, no per-value framing. On little-endian
+// hosts those payload bytes are the vector's own memory (native.go), so a
+// payload leaves from and lands in its []float64 without an encode loop.
 //
 // Two header fields, offset and total, describe where a gradient payload
 // lands inside the full gradient vector. That is what lets one step's
 // upload split across S parallel lane connections — each lane carries a
-// contiguous (offset, len) slice, and the master's shard assembler decodes
+// contiguous (offset, len) slice, and the master's shard assembler reads
 // every payload straight into the gather buffer at its offset, with no
 // reassembly copies (see shard.go). A single-lane worker sends one
 // sub-frame per step with offset 0 and total = dim.
@@ -47,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 )
 
 // Binary frame geometry and versioning.
@@ -161,14 +162,15 @@ func shardSpans(dim, shards int) [][2]int {
 	return spans
 }
 
-// AppendSubFrame appends the canonical binaryv2 encoding of e to dst and
-// returns the extended slice. It refuses envelopes the frame format cannot
-// represent faithfully: invalid envelopes, negotiation fields (Wire,
-// Shards and Shard ride only in the gob hello exchange), out-of-range ids,
-// payloads on payload-free kinds, and sub-frame geometry the decoder would
-// refuse — gradient frames need a positive Total covering
-// [Offset, Offset+len(Coded)), every other kind must have both zero.
-func AppendSubFrame(dst []byte, e *Envelope) ([]byte, error) {
+// putFrameHeader is the encoder's one validation choke point: it refuses
+// envelopes the frame format cannot represent faithfully — invalid
+// envelopes, negotiation fields (Wire, Shards and Shard ride only in the
+// gob hello exchange), out-of-range ids, payloads on payload-free kinds,
+// and sub-frame geometry the decoder would refuse (gradient frames need a
+// positive Total covering [Offset, Offset+len(Coded)), every other kind
+// must have both zero) — then writes e's 44-byte header into h and
+// returns the payload vector the frame carries.
+func putFrameHeader(h *[frameHeaderSizeV2]byte, e *Envelope) ([]float64, error) {
 	if err := validateEnvelope(e); err != nil {
 		return nil, err
 	}
@@ -200,15 +202,6 @@ func AppendSubFrame(dst []byte, e *Envelope) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: %s frame cannot carry sub-frame geometry (%d, %d)", e.Kind, e.Offset, e.Total)
 	}
 
-	off := len(dst)
-	need := frameHeaderSizeV2 + 8*len(vec)
-	if cap(dst)-off < need {
-		grown := make([]byte, off, off+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:off+need]
-	h := dst[off:]
 	le := binary.LittleEndian
 	h[0], h[1], h[2], h[3] = frameMagic0, frameMagic1, frameMagic2, frameMagic3
 	h[4] = frameVersion2
@@ -221,10 +214,28 @@ func AppendSubFrame(dst []byte, e *Envelope) ([]byte, error) {
 	le.PutUint32(h[32:], uint32(len(vec)))
 	le.PutUint32(h[36:], uint32(e.Offset))
 	le.PutUint32(h[40:], uint32(e.Total))
-	p := h[frameHeaderSizeV2:]
-	for i, v := range vec {
-		le.PutUint64(p[8*i:], math.Float64bits(v))
+	return vec, nil
+}
+
+// AppendSubFrame appends the canonical binaryv2 encoding of e to dst and
+// returns the extended slice. It refuses every envelope putFrameHeader
+// refuses.
+func AppendSubFrame(dst []byte, e *Envelope) ([]byte, error) {
+	var h [frameHeaderSizeV2]byte
+	vec, err := putFrameHeader(&h, e)
+	if err != nil {
+		return nil, err
 	}
+	off := len(dst)
+	need := frameHeaderSizeV2 + 8*len(vec)
+	if cap(dst)-off < need {
+		grown := make([]byte, off, off+need)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:off+need]
+	copy(dst[off:], h[:])
+	encodePayload(dst[off+frameHeaderSizeV2:], vec)
 	return dst, nil
 }
 
@@ -300,10 +311,10 @@ func parseFrameHeaderV2(h []byte) (frameHeader, error) {
 	return fh, nil
 }
 
-// subFrameEnvelope assembles the envelope a parsed header + payload
-// describe and passes it through the shared validation choke point.
-func subFrameEnvelope(fh frameHeader, vec []float64) (*Envelope, error) {
-	e := &Envelope{
+// fillSubFrameEnvelope writes the envelope a parsed header + payload
+// describe into e and passes it through the shared validation choke point.
+func fillSubFrameEnvelope(e *Envelope, fh frameHeader, vec []float64) error {
+	*e = Envelope{
 		Kind:                 fh.kind,
 		Worker:               fh.worker,
 		Step:                 fh.step,
@@ -319,13 +330,10 @@ func subFrameEnvelope(fh frameHeader, vec []float64) (*Envelope, error) {
 		e.Coded = vec
 	default:
 		if fh.dim != 0 {
-			return nil, fmt.Errorf("cluster: %s frame carries unexpected %d-word payload", fh.kind, fh.dim)
+			return fmt.Errorf("cluster: %s frame carries unexpected %d-word payload", fh.kind, fh.dim)
 		}
 	}
-	if err := validateEnvelope(e); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return validateEnvelope(e)
 }
 
 // DecodeSubFrame decodes exactly one standalone binaryv2 frame.
@@ -342,59 +350,102 @@ func DecodeSubFrame(data []byte) (*Envelope, error) {
 	}
 	var vec []float64
 	if fh.dim > 0 {
-		vec = decodePayload(data[frameHeaderSizeV2:], make([]float64, fh.dim))
+		vec = make([]float64, fh.dim)
+		decodePayload(data[frameHeaderSizeV2:], vec)
 	}
-	return subFrameEnvelope(fh, vec)
+	e := new(Envelope)
+	if err := fillSubFrameEnvelope(e, fh, vec); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-// decodePayload fills vec from 8·len(vec) little-endian payload bytes.
-func decodePayload(p []byte, vec []float64) []float64 {
+// encodePayload writes vec as 8·len(vec) little-endian payload bytes into
+// p: a plain copy of its memory on little-endian hosts.
+func encodePayload(p []byte, vec []float64) {
+	if nativeLE {
+		copy(p, float64Bytes(vec))
+		return
+	}
+	encodePayloadPortable(p, vec)
+}
+
+// decodePayload fills vec from 8·len(vec) little-endian payload bytes: a
+// plain copy into its memory on little-endian hosts.
+func decodePayload(p []byte, vec []float64) {
+	if nativeLE {
+		copy(float64Bytes(vec), p)
+		return
+	}
+	decodePayloadPortable(p, vec)
+}
+
+// encodePayloadPortable is the byte-order-independent encoder: what
+// big-endian hosts run, and the oracle the native path is tested against.
+func encodePayloadPortable(p []byte, vec []float64) {
+	for i, v := range vec {
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v))
+	}
+}
+
+// decodePayloadPortable is the byte-order-independent decoder, the
+// counterpart of encodePayloadPortable.
+func decodePayloadPortable(p []byte, vec []float64) {
 	for i := range vec {
 		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
-	return vec
 }
 
-// frameBufPool recycles whole-frame send buffers across connections and
-// steps. At steady state every connection reuses one grown buffer, so the
-// wire path allocates nothing per message beyond the gradient vectors
-// whose ownership genuinely transfers to the gather loop.
-var frameBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// sendFrameV2 serializes e as a binaryv2 frame into a pooled buffer and
-// writes it with a single Write call (one syscall per message, and the
-// counting writer sees the exact framed byte count). Sub-frame sends size
-// the pooled buffer by their shard width, not the full gradient dimension
-// — S lanes streaming a dim-sized gradient pool S width-sized buffers, not
-// S dim-sized ones. Callers hold sendMu.
+// sendFrameV2 writes e as one binaryv2 frame. On little-endian hosts that
+// is two Writes and no encoding at all: the header, built in the
+// per-connection array, then the payload vector's own memory — the caller
+// must not mutate the vector until sendFrameV2 returns, and it returns
+// only once the kernel holds the bytes. Big-endian hosts encode header
+// and payload into a per-connection scratch buffer and write it once.
+// Either way the counting writer sees the exact framed byte count.
+// Callers hold sendMu.
 func (c *conn) sendFrameV2(e *Envelope) error {
-	bp := frameBufPool.Get().(*[]byte)
-	buf, err := AppendSubFrame((*bp)[:0], e)
+	vec, err := putFrameHeader(&c.sendHdr, e)
 	if err != nil {
-		frameBufPool.Put(bp)
 		return err
 	}
-	_, werr := c.w.Write(buf)
-	*bp = buf[:0]
-	frameBufPool.Put(bp)
-	return werr
+	if nativeLE {
+		if _, err := c.w.Write(c.sendHdr[:]); err != nil || len(vec) == 0 {
+			return err
+		}
+		_, err = c.w.Write(float64Bytes(vec))
+		return err
+	}
+	need := frameHeaderSizeV2 + 8*len(vec)
+	if cap(c.sendScratch) < need {
+		c.sendScratch = make([]byte, need)
+	}
+	buf := c.sendScratch[:need]
+	copy(buf, c.sendHdr[:])
+	encodePayloadPortable(buf[frameHeaderSizeV2:], vec)
+	_, err = c.w.Write(buf)
+	return err
 }
 
 // recvFrameV2 reads one binaryv2 frame from the connection. The header
-// lands in a per-connection array and the payload bytes in a
-// per-connection scratch slice. Gradient payloads decode through the
-// gradReserve hook when the owner installed one — straight into the shard
-// assembler's gather buffer at the sub-frame's offset, no copy — and a
-// declined reservation (nil destination) drains the payload bytes without
-// decoding them, surfacing the envelope with a nil Coded for the reader to
-// count and drop. Other payloads decode into a fresh vector, or into a
-// reused one when the connection opted into vector reuse (the worker side,
-// where params are consumed within the step and never retained).
+// lands in a per-connection array, and the payload's destination is
+// resolved before a payload byte is read, so the bytes land in their
+// final place in one read (little-endian hosts; big-endian ones read into
+// a scratch buffer and decode from there):
+//   - a gradient, on a connection with a shard assembler (the master),
+//     goes straight into the span the assembler reserves in the step's
+//     gather buffer. A declined reservation (stale, overlapping, or out
+//     of range) drains the payload undecoded and surfaces the envelope
+//     with a nil Coded for the reader to count and drop; a read that
+//     fails after reserving hands the span back, so a re-upload of the
+//     step after a rejoin is not mistaken for an overlap.
+//   - a vector on a connection that opted into vector reuse (the worker,
+//     where params are consumed within the step and never retained) goes
+//     into the per-connection scratch vector.
+//   - anything else goes into a fresh vector.
+//
+// The returned envelope is the connection's own, overwritten by the next
+// recv: callers consume it before reading again.
 func (c *conn) recvFrameV2() (*Envelope, error) {
 	if _, err := io.ReadFull(c.r, c.hdrScratch[:]); err != nil {
 		return nil, fmt.Errorf("cluster: recv frame header: %w", err)
@@ -403,39 +454,72 @@ func (c *conn) recvFrameV2() (*Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	var vec []float64
-	if fh.dim > 0 {
-		nbytes := 8 * fh.dim
-		if cap(c.payloadScratch) < nbytes {
-			c.payloadScratch = make([]byte, nbytes)
-		}
-		p := c.payloadScratch[:nbytes]
-		if _, err := io.ReadFull(c.r, p); err != nil {
-			return nil, fmt.Errorf("cluster: recv %s payload (%d words): %w", fh.kind, fh.dim, err)
-		}
-		switch {
-		case fh.kind == MsgGradient && c.gradReserve != nil:
-			if dst := c.gradReserve(fh.worker, fh.step, fh.offset, fh.dim, fh.total); dst != nil {
-				vec = decodePayload(p, dst)
-			}
-		case c.reuseVecs:
-			if cap(c.vecScratch) < fh.dim {
-				c.vecScratch = make([]float64, fh.dim)
-			}
-			vec = decodePayload(p, c.vecScratch[:fh.dim])
-		default:
-			vec = decodePayload(p, make([]float64, fh.dim))
-		}
-	}
-	if fh.kind == MsgGradient && vec == nil && fh.dim > 0 {
-		// Declined reservation: keep the envelope well-formed (a gradient
-		// with geometry but no payload) so the reader can account for it.
-		e := &Envelope{
-			Kind: MsgGradient, Worker: fh.worker, Step: fh.step,
-			ComputeStartUnixNano: fh.computeStart, ComputeDurNanos: fh.computeDur,
-			Offset: fh.offset, Total: fh.total,
+	e := &c.recvEnv
+	if fh.dim == 0 || (fh.kind != MsgStep && fh.kind != MsgGradient) {
+		// No payload, or one the kind cannot carry: the fill refuses the
+		// latter before a byte of it is read.
+		if err := fillSubFrameEnvelope(e, fh, nil); err != nil {
+			return nil, err
 		}
 		return e, nil
 	}
-	return subFrameEnvelope(fh, vec)
+	var vec []float64
+	reserved := false
+	switch {
+	case fh.kind == MsgGradient && c.asm != nil:
+		vec = c.asm.reserveFor(fh.worker, fh.step, fh.offset, fh.dim, fh.total)
+		if vec == nil {
+			if _, err := c.r.Discard(8 * fh.dim); err != nil {
+				return nil, fmt.Errorf("cluster: drain declined %s payload (%d words): %w", fh.kind, fh.dim, err)
+			}
+			// Keep the envelope well-formed (a gradient with geometry but
+			// no payload) so the reader can account for it.
+			*e = Envelope{
+				Kind: MsgGradient, Worker: fh.worker, Step: fh.step,
+				ComputeStartUnixNano: fh.computeStart, ComputeDurNanos: fh.computeDur,
+				Offset: fh.offset, Total: fh.total,
+			}
+			return e, nil
+		}
+		reserved = true
+	case c.reuseVecs:
+		if cap(c.vecScratch) < fh.dim {
+			c.vecScratch = make([]float64, fh.dim)
+		}
+		vec = c.vecScratch[:fh.dim]
+	default:
+		vec = make([]float64, fh.dim)
+	}
+	err = c.readPayload(vec)
+	if err != nil {
+		err = fmt.Errorf("cluster: recv %s payload (%d words): %w", fh.kind, fh.dim, err)
+	} else {
+		err = fillSubFrameEnvelope(e, fh, vec)
+	}
+	if err != nil {
+		if reserved {
+			c.asm.unreserve(fh.step, vec)
+		}
+		return nil, err
+	}
+	return e, nil
+}
+
+// readPayload fills vec with the next 8·len(vec) payload bytes: one read
+// straight into its memory on little-endian hosts.
+func (c *conn) readPayload(vec []float64) error {
+	if nativeLE {
+		_, err := io.ReadFull(c.r, float64Bytes(vec))
+		return err
+	}
+	nbytes := 8 * len(vec)
+	if cap(c.payloadScratch) < nbytes {
+		c.payloadScratch = make([]byte, nbytes)
+	}
+	p := c.payloadScratch[:nbytes]
+	if _, err := io.ReadFull(c.r, p); err != nil {
+		return err
+	}
+	decodePayloadPortable(p, vec)
+	return nil
 }

@@ -283,19 +283,23 @@ type conn struct {
 	// (params are consumed within the step), never for the master
 	// (gradient ownership transfers to the gather loop).
 	reuseVecs bool
-	// gradReserve, when set, maps an incoming gradient sub-frame (worker,
-	// step, offset, count, total) to the destination slice its payload
-	// decodes into — the zero-copy reassembly hook the master's shard
-	// assembler provides. Returning nil declines the sub-frame (stale,
-	// overlapping, or out of range): the payload bytes are still drained
-	// but not decoded, and the envelope surfaces with a nil Coded.
-	gradReserve    func(worker, step, offset, count, total int) []float64
+	// asm, when set, is the worker's sub-frame assembler (master side
+	// only): recvFrameV2 reserves each incoming gradient's span in the
+	// step's gather buffer and reads the payload straight into it — the
+	// zero-copy reassembly of shard.go.
+	asm            *shardAssembler
 	hdrScratch     [frameHeaderSizeV2]byte
-	payloadScratch []byte
+	payloadScratch []byte // big-endian hosts only: raw payload bytes
 	vecScratch     []float64
+	recvEnv        Envelope // the envelope every framed recv returns
 
 	sendMu sync.Mutex
 	enc    *gob.Encoder
+	// sendHdr and sendScratch are sendFrameV2's per-connection buffers,
+	// guarded by sendMu: the header under construction, and the whole
+	// encoded frame on big-endian hosts.
+	sendHdr     [frameHeaderSizeV2]byte
+	sendScratch []byte
 	// writeTimeout bounds each send so one stalled socket cannot wedge a
 	// broadcast (0 = no deadline).
 	writeTimeout time.Duration

@@ -32,8 +32,8 @@ func benchGradient() *Envelope {
 // BenchmarkWireCodec measures the data-plane codec on the hot-path
 // message — a 2^16-dim coded gradient as one whole-vector binaryv2
 // sub-frame, what a single-lane worker sends — in the steady state of a
-// long-lived connection: the pooled send buffer and the receiver's
-// reusable payload/vector scratch.
+// long-lived connection: a reused encode buffer and the receiver's
+// reusable vector scratch.
 func BenchmarkWireCodec(b *testing.B) {
 	e := benchGradient()
 
@@ -99,9 +99,9 @@ func subFrameEnvelopes(e *Envelope, shards int) []*Envelope {
 }
 
 // BenchmarkSubFrameSend measures the binaryv2 lane-send path: one full
-// 2^16-dim gradient serialized as S sub-frames through the pooled frame
-// buffer. Total payload bytes are constant across S, so ns/op isolates the
-// per-lane framing overhead the sharded gather pays for its parallelism.
+// 2^16-dim gradient sent as S sub-frames through sendFrameV2. Total
+// payload bytes are constant across S, so ns/op isolates the per-lane
+// framing overhead the sharded gather pays for its parallelism.
 func BenchmarkSubFrameSend(b *testing.B) {
 	e := benchGradient()
 	for _, shards := range []int{1, 2, 4} {
@@ -123,11 +123,11 @@ func BenchmarkSubFrameSend(b *testing.B) {
 	}
 }
 
-// TestSubFrameSendSteadyStateAllocs pins the frame-buffer pool contract:
-// sendFrameV2 pools its serialization buffer sized by the shard width, so
-// a steady-state sharded upload allocates nothing per step. The bound is 1
-// (not 0) only because a concurrently triggered GC may clear the pool
-// mid-measurement.
+// TestSubFrameSendSteadyStateAllocs pins the send path's allocation
+// contract: sendFrameV2 builds the header in a per-connection array and
+// writes the payload from the vector's own memory (or, on big-endian
+// hosts, encodes into a per-connection scratch buffer grown once), so a
+// steady-state sharded upload allocates nothing per step.
 func TestSubFrameSendSteadyStateAllocs(t *testing.T) {
 	subs := subFrameEnvelopes(benchGradient(), 4)
 	c := &conn{w: io.Discard}
@@ -138,9 +138,45 @@ func TestSubFrameSendSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	send() // warm the pool to the shard width
+	send() // warm the per-connection buffers
 	if avg := testing.AllocsPerRun(50, send); avg > 1 {
 		t.Errorf("sharded upload allocates %.1f objects/step in steady state, want 0", avg)
+	}
+}
+
+// TestGatherRecvSteadyStateAllocs pins the master's receive path: in the
+// steady state, reading a gradient into the span its assembler reserved,
+// committing it and releasing the gather buffer back allocates nothing —
+// the payload lands in a recycled buffer and the envelope is the
+// connection's own.
+func TestGatherRecvSteadyStateAllocs(t *testing.T) {
+	frame, err := EncodeSubFrame(benchGradient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejects := 0
+	asm := newTestAssembler(3, &rejects)
+	rd := bytes.NewReader(frame)
+	c := &conn{r: bufio.NewReader(rd), framed: true, asm: asm}
+	gather := func() {
+		rd.Reset(frame)
+		c.r.Reset(rd)
+		e, err := c.recvFrameV2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec, done := asm.commit(e)
+		if !done {
+			t.Fatal("whole-vector sub-frame did not complete its step")
+		}
+		asm.release(vec)
+	}
+	gather() // the first step allocates the gather buffer
+	if avg := testing.AllocsPerRun(50, gather); avg != 0 {
+		t.Errorf("steady-state gradient receive allocates %.1f objects, want 0", avg)
+	}
+	if rejects != 0 {
+		t.Fatalf("steady-state receive counted %d rejects", rejects)
 	}
 }
 

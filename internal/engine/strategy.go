@@ -40,7 +40,9 @@ type Strategy interface {
 	WaitFor(w int) int
 	// Recover decodes the coded gradients of the available workers;
 	// coded[i] is nil for stragglers. It returns the recovered gradient ĝ
-	// and the sorted list of partitions it covers.
+	// and the sorted list of partitions it covers. ĝ is freshly allocated
+	// and Recover keeps no reference to coded: the cluster master reuses
+	// those vectors as gather buffers once Recover returns.
 	Recover(avail *bitset.Set, coded [][]float64) (ghat []float64, parts []int, err error)
 	// Encode computes worker i's coded upload from the per-partition mean
 	// gradients (only the worker's own partitions are read).

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -75,7 +76,9 @@ func TestParallelGradDeterministic(t *testing.T) {
 func TestParallelGradNested(t *testing.T) {
 	p := NewParallelGrad(2)
 	defer p.Close()
-	sum := make([]int, 4)
+	// The inner tasks of one outer task run concurrently, so they add
+	// into their shared slot atomically.
+	sum := make([]atomic.Int64, 4)
 	outer := make([]func(), 4)
 	for i := range outer {
 		i := i
@@ -83,14 +86,14 @@ func TestParallelGradNested(t *testing.T) {
 			inner := make([]func(), 4)
 			for j := range inner {
 				j := j
-				inner[j] = func() { sum[i] += j }
+				inner[j] = func() { sum[i].Add(int64(j)) }
 			}
 			p.Run(inner...)
 		}
 	}
 	p.Run(outer...)
-	for i, s := range sum {
-		if s != 6 {
+	for i := range sum {
+		if s := sum[i].Load(); s != 6 {
 			t.Fatalf("sum[%d] = %d, want 6", i, s)
 		}
 	}
