@@ -394,13 +394,14 @@ func itoa(n int) string {
 // 64 samples. Grad is the legacy allocating kernel, GradInto the
 // scratch-pooled one, and the Sharded variants split the batch across the
 // compute pool — the multi-core speedup the PR's acceptance criterion
-// asks for.
+// asks for. Loss runs the master's full-set loss of the mlp-train
+// benchmark workload: 768 samples.
 
-func benchMLPWorkload() (model.MLP, []float64, []dataset.Sample) {
+func benchMLPWorkload(n int) (model.MLP, []float64, []dataset.Sample) {
 	m := model.MLP{Features: 128, Hidden: 500, Classes: 4}
 	params := m.InitParams(1)
 	rng := rand.New(rand.NewSource(2))
-	batch := make([]dataset.Sample, 64)
+	batch := make([]dataset.Sample, n)
 	for i := range batch {
 		x := make([]float64, m.Features)
 		for j := range x {
@@ -412,7 +413,7 @@ func benchMLPWorkload() (model.MLP, []float64, []dataset.Sample) {
 }
 
 func BenchmarkMLPGrad(b *testing.B) {
-	m, params, batch := benchMLPWorkload()
+	m, params, batch := benchMLPWorkload(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -421,7 +422,7 @@ func BenchmarkMLPGrad(b *testing.B) {
 }
 
 func BenchmarkMLPGradInto(b *testing.B) {
-	m, params, batch := benchMLPWorkload()
+	m, params, batch := benchMLPWorkload(64)
 	dst := make([]float64, m.Dim())
 	m.GradInto(dst, params, batch) // warm the scratch pool
 	b.ReportAllocs()
@@ -431,8 +432,21 @@ func BenchmarkMLPGradInto(b *testing.B) {
 	}
 }
 
+// lossSink keeps BenchmarkMLPLoss's result live.
+var lossSink float64
+
+func BenchmarkMLPLoss(b *testing.B) {
+	m, params, batch := benchMLPWorkload(768)
+	m.Loss(params, batch) // warm the scratch pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lossSink = m.Loss(params, batch)
+	}
+}
+
 func BenchmarkMLPGradIntoSharded(b *testing.B) {
-	m, params, batch := benchMLPWorkload()
+	m, params, batch := benchMLPWorkload(64)
 	for _, par := range []int{2, 4, 0} {
 		pool := model.NewParallelGrad(par)
 		b.Run("par="+itoa(pool.Par())[len("n="):], func(b *testing.B) {

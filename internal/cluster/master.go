@@ -211,7 +211,7 @@ type Master struct {
 	done      bool // training over: reject further registrations
 	running   bool // a step has been broadcast: rejoiners get it re-sent
 	curStep   int
-	curParams []float64
+	curParams []float64 // the in-flight step's params; one buffer reused every step
 	rejoins   int
 	degraded  int // degraded steps so far (live view for Health)
 
@@ -692,7 +692,9 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	}
 	var resume *Envelope
 	if m.running {
-		resume = &Envelope{Kind: MsgStep, Step: m.curStep, Params: m.curParams}
+		// The next step overwrites curParams in place, and the send
+		// below runs after m.mu is released: take a copy.
+		resume = &Envelope{Kind: MsgStep, Step: m.curStep, Params: append([]float64(nil), m.curParams...)}
 	}
 	m.mu.Unlock()
 
@@ -1107,9 +1109,10 @@ func (m *Master) runSync(ts *trainState, res *engine.Result) (*engine.Result, er
 		m.mu.Lock()
 		m.running = true
 		m.curStep = step
-		// Rejoin handshakes read curParams concurrently with the AXPY
-		// update below, so they get their own copy.
-		m.curParams = append([]float64(nil), params...)
+		// curParams is reused step to step; the update below mutates
+		// params, not curParams, and a rejoin handshake copies it under
+		// m.mu.
+		m.curParams = append(m.curParams[:0], params...)
 		m.mu.Unlock()
 		bcastStart := time.Now()
 		m.broadcast(&Envelope{Kind: MsgStep, Step: step, Params: params})
@@ -1434,9 +1437,10 @@ func (m *Master) runPipelined(ts *trainState, res *engine.Result) (*engine.Resul
 		m.mu.Lock()
 		m.running = true
 		m.curStep = step
-		// Rejoin handshakes read curParams concurrently with the updates
-		// below, so they get their own copy.
-		m.curParams = append([]float64(nil), params...)
+		// curParams is reused step to step; the update below mutates
+		// params, not curParams, and a rejoin handshake copies it under
+		// m.mu.
+		m.curParams = append(m.curParams[:0], params...)
 		m.mu.Unlock()
 		bcastStart := time.Now()
 		m.broadcast(&Envelope{Kind: MsgStep, Step: step, Params: params})

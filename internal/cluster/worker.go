@@ -34,8 +34,12 @@ type WorkerConfig struct {
 	Model model.Model
 	// Encode combines the worker's per-partition gradients into the coded
 	// upload: it receives the gradients aligned with Partitions. For
-	// IS-GC this is the plain sum; for classic GC a fixed linear
-	// combination (use CodedEncoder helpers).
+	// IS-GC this is the plain sum (SumEncoder); for classic GC a fixed
+	// linear combination (LinearEncoder). Encode owns the gradient
+	// buffers for the call: it may overwrite them and return one of them
+	// (both helpers return localGrads[0]). That is safe because the
+	// worker recomputes every local gradient each step and finishes
+	// sending the upload before it computes the next one.
 	Encode func(localGrads [][]float64) ([]float64, error)
 	// Delay optionally injects an artificial straggler delay before each
 	// upload, sampled from the model (nil = none). This is how the
@@ -444,9 +448,9 @@ func (w *Worker) Run() (int, error) {
 // sendGradient uploads one step's coded gradient as contiguous sub-frames
 // encoded and sent concurrently, one per granted lane (a single
 // whole-vector sub-frame on the primary connection when one lane was
-// granted). The sends complete before sendGradient returns, so the
-// encoder's reusable buffer (SumEncoder's contract) is never read after
-// the next encode.
+// granted). The sends complete before sendGradient returns, so coded —
+// which aliases a local gradient buffer under SumEncoder's contract — is
+// never read after the next computeStep overwrites it.
 func (w *Worker) sendGradient(step int, coded []float64, computeStart time.Time, computeDur time.Duration) error {
 	w.connMu.Lock()
 	c, lanes, shards := w.c, w.lanes, w.shards
@@ -623,28 +627,33 @@ func (w *Worker) computeStep(step int, params []float64) ([]float64, time.Time, 
 }
 
 // SumEncoder returns the IS-GC encoder: the plain sum of the local
-// per-partition gradients. The closure owns a reusable output buffer, so
-// steady-state encoding allocates nothing; the returned slice is only
-// valid until the next call. That is safe for WorkerConfig.Encode — the
-// worker sends the upload synchronously before encoding the next step —
-// but means one encoder must not be shared between workers.
+// per-partition gradients, written over local[0] and returned as local[0]
+// (WorkerConfig.Encode's contract). It holds no state and allocates
+// nothing, so one encoder may serve any number of workers. Each element
+// is 0 + g0 + g1 + …, left to right — the bits of summing into a zeroed
+// buffer, where a sum of −0s comes out +0. Up to two partitions take one
+// pass; each further partition adds one accumulate pass.
 func SumEncoder() func([][]float64) ([]float64, error) {
-	var out []float64
 	return func(local [][]float64) ([]float64, error) {
 		if len(local) == 0 {
 			return nil, fmt.Errorf("cluster: no local gradients")
 		}
-		if len(out) != len(local[0]) {
-			out = make([]float64, len(local[0]))
+		out, rest := local[0], local[1:]
+		if err := checkDims(out, rest); err != nil {
+			return nil, err
 		}
-		for k := range out {
-			out[k] = 0
-		}
-		for _, g := range local {
-			if len(g) != len(out) {
-				return nil, fmt.Errorf("cluster: gradient dim mismatch %d vs %d", len(g), len(out))
+		if len(rest) == 0 {
+			for k, x := range out {
+				out[k] = 0 + x
 			}
-			for k, x := range g {
+			return out, nil
+		}
+		g1 := rest[0][:len(out)]
+		for k, x := range out {
+			out[k] = 0 + x + g1[k]
+		}
+		for _, g := range rest[1:] {
+			for k, x := range g[:len(out)] {
 				out[k] += x
 			}
 		}
@@ -653,29 +662,46 @@ func SumEncoder() func([][]float64) ([]float64, error) {
 }
 
 // LinearEncoder returns a fixed-coefficient encoder (classic GC): coeffs is
-// aligned with the worker's partition list. Buffer-reuse contract matches
-// SumEncoder: one encoder per worker, result valid until the next call.
+// aligned with the worker's partition list. Contract and passes match
+// SumEncoder: each element of local[0] becomes 0 + c0·g0 + c1·g1 + ….
 func LinearEncoder(coeffs []float64) func([][]float64) ([]float64, error) {
 	cs := append([]float64(nil), coeffs...)
-	var out []float64
 	return func(local [][]float64) ([]float64, error) {
 		if len(local) != len(cs) {
 			return nil, fmt.Errorf("cluster: %d gradients for %d coefficients", len(local), len(cs))
 		}
-		if len(out) != len(local[0]) {
-			out = make([]float64, len(local[0]))
+		out, rest := local[0], local[1:]
+		if err := checkDims(out, rest); err != nil {
+			return nil, err
 		}
-		for k := range out {
-			out[k] = 0
-		}
-		for j, g := range local {
-			if len(g) != len(out) {
-				return nil, fmt.Errorf("cluster: gradient dim mismatch %d vs %d", len(g), len(out))
+		c0 := cs[0]
+		if len(rest) == 0 {
+			for k, x := range out {
+				out[k] = 0 + c0*x
 			}
-			for k, x := range g {
-				out[k] += cs[j] * x
+			return out, nil
+		}
+		c1, g1 := cs[1], rest[0][:len(out)]
+		for k, x := range out {
+			out[k] = 0 + c0*x + c1*g1[k]
+		}
+		for j, g := range rest[1:] {
+			cj := cs[j+2]
+			for k, x := range g[:len(out)] {
+				out[k] += cj * x
 			}
 		}
 		return out, nil
 	}
+}
+
+// checkDims reports the first of rest whose length differs from out's,
+// before an encoder writes anything.
+func checkDims(out []float64, rest [][]float64) error {
+	for _, g := range rest {
+		if len(g) != len(out) {
+			return fmt.Errorf("cluster: gradient dim mismatch %d vs %d", len(g), len(out))
+		}
+	}
+	return nil
 }

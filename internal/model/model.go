@@ -334,8 +334,8 @@ func (m MLP) slices(params []float64) (w1, b1, w2, b2 []float64) {
 }
 
 // forwardInto fills h (length Hidden) and z (length Classes) with the
-// hidden activations and output logits of x — the scratch-reusing
-// replacement for the old per-sample allocations.
+// hidden activations and output logits of x. Predict uses it; Loss and
+// GradInto push samples through forwardBlock instead.
 func (m MLP) forwardInto(h, z, params []float64, x []float64) {
 	w1, b1, w2, b2 := m.slices(params)
 	for i := 0; i < m.Hidden; i++ {
@@ -346,19 +346,78 @@ func (m MLP) forwardInto(h, z, params []float64, x []float64) {
 	}
 }
 
+// mlpBlock is the number of samples Loss and GradInto push through the
+// layers together. Each weight load feeds mlpBlock independent
+// accumulators, one per sample, so the CPU runs mlpBlock dependency
+// chains instead of one. Every per-sample sum and every per-element
+// gradient accumulation keeps the per-sample kernel's order, so the bits
+// are the same (DESIGN.md "Compute pipeline → Kernels").
+const mlpBlock = 4
+
+// forwardBlock fills h (length mlpBlock·Hidden) and z (length
+// mlpBlock·Classes) with the hidden activations and output logits of the
+// 1..mlpBlock samples of blk: lane l at h[l·Hidden:] and z[l·Classes:].
+// A short block repeats its last sample in the spare lanes, whose results
+// the callers ignore. Each lane sums over j in dotFeatures' order and adds
+// its own bias, so its values equal forwardInto's bit for bit.
+func (m MLP) forwardBlock(h, z, params []float64, blk []dataset.Sample) {
+	w1, b1, w2, b2 := m.slices(params)
+	f, hid, c := m.Features, m.Hidden, m.Classes
+	last := len(blk) - 1
+	x0 := blk[0].X[:f]
+	x1 := blk[min(1, last)].X[:f]
+	x2 := blk[min(2, last)].X[:f]
+	x3 := blk[min(3, last)].X[:f]
+	h0, h1, h2, h3 := h[:hid], h[hid:2*hid], h[2*hid:3*hid], h[3*hid:4*hid]
+	for i := range h0 {
+		w := w1[i*f : (i+1)*f]
+		var s0, s1, s2, s3 float64
+		for j, wj := range w {
+			s0 += wj * x0[j]
+			s1 += wj * x1[j]
+			s2 += wj * x2[j]
+			s3 += wj * x3[j]
+		}
+		bi := b1[i]
+		h0[i] = math.Tanh(s0 + bi)
+		h1[i] = math.Tanh(s1 + bi)
+		h2[i] = math.Tanh(s2 + bi)
+		h3[i] = math.Tanh(s3 + bi)
+	}
+	for k := 0; k < c; k++ {
+		w := w2[k*hid : (k+1)*hid]
+		var s0, s1, s2, s3 float64
+		for i, wi := range w {
+			s0 += wi * h0[i]
+			s1 += wi * h1[i]
+			s2 += wi * h2[i]
+			s3 += wi * h3[i]
+		}
+		bk := b2[k]
+		z[k] = s0 + bk
+		z[c+k] = s1 + bk
+		z[2*c+k] = s2 + bk
+		z[3*c+k] = s3 + bk
+	}
+}
+
 // Loss implements Model.
 func (m MLP) Loss(params []float64, batch []dataset.Sample) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	hp, zp := getVec(m.Hidden), getVec(m.Classes)
+	hp, zp := getVec(mlpBlock*m.Hidden), getVec(mlpBlock*m.Classes)
 	h, z := *hp, *zp
 	defer putVec(hp)
 	defer putVec(zp)
 	sum := 0.0
-	for _, s := range batch {
-		m.forwardInto(h, z, params, s.X)
-		sum += logSumExp(z) - z[int(s.Y)]
+	for b := 0; b < len(batch); b += mlpBlock {
+		blk := batch[b:min(b+mlpBlock, len(batch))]
+		m.forwardBlock(h, z, params, blk)
+		for l, s := range blk {
+			zl := z[l*m.Classes : (l+1)*m.Classes]
+			sum += logSumExp(zl) - zl[int(s.Y)]
+		}
 	}
 	return sum / float64(len(batch))
 }
@@ -377,52 +436,105 @@ func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 	if len(batch) == 0 {
 		return
 	}
-	w1Len := m.Hidden * m.Features
-	gW1 := g[0:w1Len]
-	gB1 := g[w1Len : w1Len+m.Hidden]
-	gW2 := g[w1Len+m.Hidden : w1Len+m.Hidden+m.Classes*m.Hidden]
-	gB2 := g[w1Len+m.Hidden+m.Classes*m.Hidden:]
-	_, _, w2, _ := m.slices(params)
-	hp, zp := getVec(m.Hidden), getVec(m.Classes)
+	hp, zp := getVec(mlpBlock*m.Hidden), getVec(mlpBlock*m.Classes)
 	h, z := *hp, *zp
 	defer putVec(hp)
 	defer putVec(zp)
-	for _, s := range batch {
-		m.forwardInto(h, z, params, s.X)
-		// softmaxInPlace turns the logits into probabilities; subtracting
-		// the one-hot target below turns them into dz without another
-		// buffer.
-		softmaxInPlace(z)
-		dz := z
-		y := int(s.Y)
-		// Output layer.
-		for k := 0; k < m.Classes; k++ {
-			if k == y {
-				dz[k] -= 1
-			}
-			row := gW2[k*m.Hidden : (k+1)*m.Hidden]
-			for i, hi := range h {
-				row[i] += dz[k] * hi
-			}
-			gB2[k] += dz[k]
+	for b := 0; b < len(batch); b += mlpBlock {
+		blk := batch[b:min(b+mlpBlock, len(batch))]
+		m.forwardBlock(h, z, params, blk)
+		// softmaxInPlace turns each lane's logits into probabilities;
+		// subtracting the one-hot target turns them into dz without
+		// another buffer.
+		for l, s := range blk {
+			dz := z[l*m.Classes : (l+1)*m.Classes]
+			softmaxInPlace(dz)
+			dz[int(s.Y)] -= 1
 		}
-		// Hidden layer: dh = W2ᵀ dz, through tanh'.
-		for i := 0; i < m.Hidden; i++ {
-			dh := 0.0
-			for k := 0; k < m.Classes; k++ {
-				dh += w2[k*m.Hidden+i] * dz[k]
-			}
-			da := dh * (1 - h[i]*h[i])
-			row := gW1[i*m.Features : (i+1)*m.Features]
-			for j, x := range s.X {
-				row[j] += da * x
-			}
-			gB1[i] += da
+		if len(blk) == mlpBlock {
+			m.backwardBlock(g, params, h, z, blk)
+			continue
+		}
+		// A short block adds only its real lanes, one sample at a time:
+		// the padding lanes hold logits, not deltas, and must never
+		// reach g.
+		for l, s := range blk {
+			m.backwardSample(g, params, h[l*m.Hidden:(l+1)*m.Hidden], z[l*m.Classes:(l+1)*m.Classes], s.X)
 		}
 	}
 	inv := 1 / float64(len(batch))
 	for j := range g {
 		g[j] *= inv
+	}
+}
+
+// backwardBlock adds the gradients of the mlpBlock samples of blk, whose
+// activations h and output deltas dz forwardBlock and GradInto filled,
+// into g. Every element takes the samples in batch order, left to right,
+// exactly as mlpBlock calls of backwardSample would.
+func (m MLP) backwardBlock(g, params, h, dz []float64, blk []dataset.Sample) {
+	f, hid, c := m.Features, m.Hidden, m.Classes
+	gW1, gB1, gW2, gB2 := m.slices(g)
+	_, _, w2, _ := m.slices(params)
+	x0, x1, x2, x3 := blk[0].X[:f], blk[1].X[:f], blk[2].X[:f], blk[3].X[:f]
+	h0, h1, h2, h3 := h[:hid], h[hid:2*hid], h[2*hid:3*hid], h[3*hid:4*hid]
+	dz0, dz1, dz2, dz3 := dz[:c], dz[c:2*c], dz[2*c:3*c], dz[3*c:4*c]
+	// Output layer.
+	for k := 0; k < c; k++ {
+		d0, d1, d2, d3 := dz0[k], dz1[k], dz2[k], dz3[k]
+		row := gW2[k*hid : (k+1)*hid]
+		for i := range row {
+			row[i] = row[i] + d0*h0[i] + d1*h1[i] + d2*h2[i] + d3*h3[i]
+		}
+		gB2[k] = gB2[k] + d0 + d1 + d2 + d3
+	}
+	// Hidden layer: dh = W2ᵀ dz, through tanh'.
+	for i := 0; i < hid; i++ {
+		var dh0, dh1, dh2, dh3 float64
+		for k := 0; k < c; k++ {
+			w := w2[k*hid+i]
+			dh0 += w * dz0[k]
+			dh1 += w * dz1[k]
+			dh2 += w * dz2[k]
+			dh3 += w * dz3[k]
+		}
+		da0 := dh0 * (1 - h0[i]*h0[i])
+		da1 := dh1 * (1 - h1[i]*h1[i])
+		da2 := dh2 * (1 - h2[i]*h2[i])
+		da3 := dh3 * (1 - h3[i]*h3[i])
+		row := gW1[i*f : (i+1)*f]
+		for j := range row {
+			row[j] = row[j] + da0*x0[j] + da1*x1[j] + da2*x2[j] + da3*x3[j]
+		}
+		gB1[i] = gB1[i] + da0 + da1 + da2 + da3
+	}
+}
+
+// backwardSample adds one sample's gradient into g, given its hidden
+// activations h and output delta dz: the per-sample backward pass.
+func (m MLP) backwardSample(g, params, h, dz, x []float64) {
+	gW1, gB1, gW2, gB2 := m.slices(g)
+	_, _, w2, _ := m.slices(params)
+	// Output layer.
+	for k := 0; k < m.Classes; k++ {
+		row := gW2[k*m.Hidden : (k+1)*m.Hidden]
+		for i, hi := range h {
+			row[i] += dz[k] * hi
+		}
+		gB2[k] += dz[k]
+	}
+	// Hidden layer: dh = W2ᵀ dz, through tanh'.
+	for i := 0; i < m.Hidden; i++ {
+		dh := 0.0
+		for k := 0; k < m.Classes; k++ {
+			dh += w2[k*m.Hidden+i] * dz[k]
+		}
+		da := dh * (1 - h[i]*h[i])
+		row := gW1[i*m.Features : (i+1)*m.Features]
+		for j, xj := range x {
+			row[j] += da * xj
+		}
+		gB1[i] += da
 	}
 }
 
