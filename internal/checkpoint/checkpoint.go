@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -49,7 +50,8 @@ var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
 
 // envelope is the on-disk frame around one checkpoint payload. CRC32
 // (IEEE) covers exactly the Payload bytes, making every file verifiable
-// in isolation.
+// in isolation. Save writes it by hand (appendEnvelopeHead); a change to
+// its fields or tags must change both.
 type envelope struct {
 	Version         int             `json:"version"`
 	Step            int             `json:"step"`
@@ -83,9 +85,12 @@ type Info struct {
 	SavedAt time.Time
 }
 
-// Store manages one checkpoint directory. Methods are not safe for
-// concurrent use; serialize Save/Latest externally (the master calls them
-// from its training loop only).
+// Store manages one checkpoint directory. The caller serialises Save,
+// Latest and List (the cluster master calls them from its training loop
+// only). The lease methods — WriteLease, ReadLease, ReleaseLease — may run
+// concurrently with those (the master renews its lease from a goroutine
+// of its own): they touch only the LEASE file, and Save keeps no state
+// the lease path shares.
 type Store struct {
 	dir    string
 	retain int
@@ -130,25 +135,23 @@ func checkpointFileName(step int) string {
 // Save durably writes payload as the checkpoint for step. The file lands
 // first, then the manifest is updated to point at it; old checkpoints
 // beyond the retention count are pruned afterwards.
+//
+// The file's bytes are exactly json.Marshal(envelope{…}) of the payload.
+// Save writes them as three pieces — the envelope's head, the marshalled
+// payload, the closing brace — instead of marshalling the envelope, which
+// would re-scan and copy the whole payload to compact and escape it:
+// json.Marshal output is already compact and HTML-escaped.
 func (s *Store) Save(step int, payload any) (Info, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return Info{}, fmt.Errorf("checkpoint: marshal payload: %w", err)
 	}
 	now := time.Now()
-	env := envelope{
-		Version:         Version,
-		Step:            step,
-		SavedAtUnixNano: now.UnixNano(),
-		CRC32:           crc32.ChecksumIEEE(raw),
-		Payload:         raw,
-	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return Info{}, fmt.Errorf("checkpoint: marshal envelope: %w", err)
-	}
+	crc := crc32.ChecksumIEEE(raw)
+	head := appendEnvelopeHead(make([]byte, 0, 128), step, now.UnixNano(), crc)
+	size := int64(len(head) + len(raw) + len(envelopeTail))
 	name := checkpointFileName(step)
-	if err := writeFileAtomic(filepath.Join(s.dir, name), data); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, name), head, raw, envelopeTail); err != nil {
 		return Info{}, err
 	}
 
@@ -164,9 +167,9 @@ func (s *Store) Save(step int, payload any) (Info, error) {
 	entries = append(kept, manifestEntry{
 		File:            name,
 		Step:            step,
-		CRC32:           env.CRC32,
-		Size:            int64(len(data)),
-		SavedAtUnixNano: env.SavedAtUnixNano,
+		CRC32:           crc,
+		Size:            size,
+		SavedAtUnixNano: now.UnixNano(),
 	})
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Step < entries[j].Step })
 
@@ -188,7 +191,25 @@ func (s *Store) Save(step int, payload any) (Info, error) {
 	for _, e := range pruned {
 		os.Remove(filepath.Join(s.dir, e.File))
 	}
-	return Info{File: name, Step: step, Size: int64(len(data)), SavedAt: now}, nil
+	return Info{File: name, Step: step, Size: size, SavedAt: now}, nil
+}
+
+// envelopeTail closes the envelope after the payload bytes.
+var envelopeTail = []byte("}")
+
+// appendEnvelopeHead appends what json.Marshal(envelope{…}) writes before
+// the payload's bytes: the fixed fields in declaration order, then the
+// payload key.
+func appendEnvelopeHead(dst []byte, step int, savedAtUnixNano int64, crc uint32) []byte {
+	dst = append(dst, `{"version":`...)
+	dst = strconv.AppendInt(dst, Version, 10)
+	dst = append(dst, `,"step":`...)
+	dst = strconv.AppendInt(dst, int64(step), 10)
+	dst = append(dst, `,"saved_at_unix_nano":`...)
+	dst = strconv.AppendInt(dst, savedAtUnixNano, 10)
+	dst = append(dst, `,"crc32":`...)
+	dst = strconv.AppendUint(dst, uint64(crc), 10)
+	return append(dst, `,"payload":`...)
 }
 
 // Latest loads the newest valid checkpoint into payload (a pointer).
@@ -307,10 +328,11 @@ func (s *Store) readManifest() (manifest, error) {
 	return m, nil
 }
 
-// writeFileAtomic writes data at path via a temp file in the same
-// directory: write → fsync file → close → rename → fsync directory. After
-// it returns nil the file is durable under the final name.
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes the concatenation of parts at path via a temp
+// file in the same directory: write → fsync file → close → rename → fsync
+// directory. After it returns nil the file is durable under the final
+// name.
+func writeFileAtomic(path string, parts ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -318,9 +340,11 @@ func writeFileAtomic(path string, data []byte) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: write temp: %w", err)
+	for _, data := range parts {
+		if _, err := tmp.Write(data); err != nil {
+			tmp.Close()
+			return fmt.Errorf("checkpoint: write temp: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

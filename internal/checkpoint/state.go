@@ -7,6 +7,7 @@ package checkpoint
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // State is one durable snapshot of a training run, taken at a step
@@ -74,13 +75,23 @@ type WorkerState struct {
 
 // Float64sToBytes encodes xs as little-endian IEEE-754 bits. Used for
 // params/velocity so checkpoints are bit-exact by construction (and JSON
-// base64-encodes []byte, keeping files compact).
+// base64-encodes []byte, keeping files compact). The result is never nil,
+// so an empty xs still marshals as "" rather than null.
 func Float64sToBytes(xs []float64) []byte {
-	out := make([]byte, 8*len(xs))
+	return AppendFloat64s(make([]byte, 0, 8*len(xs)), xs)
+}
+
+// AppendFloat64s appends the little-endian IEEE-754 bits of xs to dst and
+// returns the extended slice, like append: callers that save repeatedly
+// pass buf[:0] to reuse one buffer.
+func AppendFloat64s(dst []byte, xs []float64) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(xs))[:n+8*len(xs)]
+	out := dst[n:]
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
 	}
-	return out
+	return dst
 }
 
 // BytesToFloat64s is the inverse of Float64sToBytes. Trailing bytes that

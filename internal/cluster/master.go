@@ -233,6 +233,11 @@ type Master struct {
 	// fields and the last-checkpoint-step gauge (-1/0 = none yet).
 	lastCkptStep     atomic.Int64
 	lastCkptUnixNano atomic.Int64
+	// ckptParams holds the params' bytes for writeCheckpoint, reused
+	// across saves. Only the training loop touches it, never the lease
+	// goroutine. Never nil, so empty params marshal as "", as
+	// checkpoint.Float64sToBytes's do.
+	ckptParams []byte
 
 	// accepted[i] counts the steps in which worker i's gradient was
 	// gathered before the cut-off — the per-worker availability view an
@@ -376,7 +381,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		}
 	}
 	m := &Master{cfg: cfg, ln: ln, attribution: trace.NewAttribution(cfg.Strategy.N()),
-		stop: make(chan struct{})}
+		stop: make(chan struct{}), ckptParams: []byte{}}
 	m.lastCkptStep.Store(-1)
 	m.runID = fmt.Sprintf("run-%d", time.Now().UnixNano())
 	if cfg.Warm != nil {
@@ -1582,6 +1587,7 @@ func (m *Master) writeCheckpoint(params []float64, nextStep, records int, comple
 	gen := m.generation
 	runID := m.runID
 	m.mu.Unlock()
+	m.ckptParams = checkpoint.AppendFloat64s(m.ckptParams[:0], params)
 	cst := checkpoint.State{
 		Version:         checkpoint.Version,
 		RunID:           runID,
@@ -1592,7 +1598,7 @@ func (m *Master) writeCheckpoint(params []float64, nextStep, records int, comple
 		Seed:            m.cfg.Seed,
 		W:               m.cfg.W,
 		Step:            nextStep,
-		Params:          checkpoint.Float64sToBytes(params),
+		Params:          m.ckptParams,
 		EventCursor:     m.cfg.Events.Total(),
 		RecordCursor:    records,
 		Completed:       completed,

@@ -12,6 +12,7 @@ import (
 	"isgc/internal/checkpoint"
 	"isgc/internal/dataset"
 	"isgc/internal/events"
+	"isgc/internal/linalg"
 	"isgc/internal/model"
 	"isgc/internal/randsrc"
 	"isgc/internal/straggler"
@@ -630,40 +631,27 @@ func (w *Worker) computeStep(step int, params []float64) ([]float64, time.Time, 
 // per-partition gradients, written over local[0] and returned as local[0]
 // (WorkerConfig.Encode's contract). It holds no state and allocates
 // nothing, so one encoder may serve any number of workers. Each element
-// is 0 + g0 + g1 + …, left to right — the bits of summing into a zeroed
-// buffer, where a sum of −0s comes out +0. Up to two partitions take one
-// pass; each further partition adds one accumulate pass.
+// is 0 + g0 + g1 + …, left to right (linalg.SumInto) — the bits of
+// summing into a zeroed buffer, where a sum of −0s comes out +0.
 func SumEncoder() func([][]float64) ([]float64, error) {
 	return func(local [][]float64) ([]float64, error) {
 		if len(local) == 0 {
 			return nil, fmt.Errorf("cluster: no local gradients")
 		}
-		out, rest := local[0], local[1:]
-		if err := checkDims(out, rest); err != nil {
+		out := local[0]
+		if err := checkDims(out, local[1:]); err != nil {
 			return nil, err
 		}
-		if len(rest) == 0 {
-			for k, x := range out {
-				out[k] = 0 + x
-			}
-			return out, nil
-		}
-		g1 := rest[0][:len(out)]
-		for k, x := range out {
-			out[k] = 0 + x + g1[k]
-		}
-		for _, g := range rest[1:] {
-			for k, x := range g[:len(out)] {
-				out[k] += x
-			}
-		}
+		linalg.SumInto(out, local)
 		return out, nil
 	}
 }
 
 // LinearEncoder returns a fixed-coefficient encoder (classic GC): coeffs is
-// aligned with the worker's partition list. Contract and passes match
-// SumEncoder: each element of local[0] becomes 0 + c0·g0 + c1·g1 + ….
+// aligned with the worker's partition list. Its contract matches
+// SumEncoder's: each element of local[0] becomes 0 + c0·g0 + c1·g1 + ….
+// Up to two partitions take one pass; each further partition adds one
+// accumulate pass.
 func LinearEncoder(coeffs []float64) func([][]float64) ([]float64, error) {
 	cs := append([]float64(nil), coeffs...)
 	return func(local [][]float64) ([]float64, error) {

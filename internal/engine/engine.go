@@ -302,7 +302,11 @@ func Train(cfg Config) (*Result, error) {
 	// and res.Run covers [startStep, end) only.
 	startStep := 0
 	alreadyComplete := false
+	// One params and one velocity buffer serve every save; params' is
+	// never nil, so empty params marshal as "" as Float64sToBytes's do.
+	ckptParams, ckptVelocity := []byte{}, []byte(nil)
 	saveCheckpoint := func(nextStep int, completed bool) error {
+		ckptParams = checkpoint.AppendFloat64s(ckptParams[:0], params)
 		cst := checkpoint.State{
 			Version:         checkpoint.Version,
 			Scheme:          st.Name(),
@@ -311,7 +315,7 @@ func Train(cfg Config) (*Result, error) {
 			Seed:            cfg.Seed,
 			W:               cfg.W,
 			Step:            nextStep,
-			Params:          checkpoint.Float64sToBytes(params),
+			Params:          ckptParams,
 			LastLoss:        lastLoss,
 			LastAccuracy:    lastAcc,
 			EventCursor:     cfg.Events.Total(),
@@ -320,7 +324,8 @@ func Train(cfg Config) (*Result, error) {
 			SavedAtUnixNano: time.Now().UnixNano(),
 		}
 		if velocity != nil {
-			cst.Velocity = checkpoint.Float64sToBytes(velocity)
+			ckptVelocity = checkpoint.AppendFloat64s(ckptVelocity[:0], velocity)
+			cst.Velocity = ckptVelocity
 		}
 		if rs, ok := st.(RandStateful); ok {
 			cst.DecoderSeed, cst.DecoderDraws = rs.RandState()

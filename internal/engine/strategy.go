@@ -79,16 +79,13 @@ func (s *syncSGD) Recover(avail *bitset.Set, coded [][]float64) ([]float64, []in
 	if avail.Len() != s.n {
 		return nil, nil, fmt.Errorf("engine: Sync-SGD needs all %d workers, got %d", s.n, avail.Len())
 	}
-	var ghat []float64
 	for i := 0; i < s.n; i++ {
 		if coded[i] == nil {
 			return nil, nil, fmt.Errorf("engine: Sync-SGD missing gradient from worker %d", i)
 		}
-		if ghat == nil {
-			ghat = make([]float64, len(coded[i]))
-		}
-		linalg.AddTo(ghat, coded[i])
 	}
+	ghat := make([]float64, len(coded[0]))
+	linalg.SumInto(ghat, coded[:s.n])
 	return ghat, allPartitions(s.n), nil
 }
 
@@ -120,7 +117,7 @@ func (s *isSGD) Encode(worker int, grads [][]float64) ([]float64, error) {
 }
 
 func (s *isSGD) Recover(avail *bitset.Set, coded [][]float64) ([]float64, []int, error) {
-	var ghat []float64
+	vs := make([][]float64, 0, avail.Len())
 	var parts []int
 	var err error
 	avail.Range(func(i int) bool {
@@ -128,16 +125,15 @@ func (s *isSGD) Recover(avail *bitset.Set, coded [][]float64) ([]float64, []int,
 			err = fmt.Errorf("engine: IS-SGD missing gradient from available worker %d", i)
 			return false
 		}
-		if ghat == nil {
-			ghat = make([]float64, len(coded[i]))
-		}
-		linalg.AddTo(ghat, coded[i])
+		vs = append(vs, coded[i])
 		parts = append(parts, i) // worker i's sole partition is i
 		return true
 	})
-	if err != nil {
+	if err != nil || len(vs) == 0 {
 		return nil, nil, err
 	}
+	ghat := make([]float64, len(vs[0]))
+	linalg.SumInto(ghat, vs)
 	return ghat, parts, nil
 }
 

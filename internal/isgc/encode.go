@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"isgc/internal/bitset"
+	"isgc/internal/linalg"
 )
 
 // Encode computes worker i's coded gradient: the plain sum of the gradient
@@ -20,16 +21,15 @@ func (s *Scheme) Encode(worker int, grads [][]float64) ([]float64, error) {
 	}
 	parts := s.p.Partitions(worker)
 	dim := len(grads[parts[0]])
-	out := make([]float64, dim)
-	for _, d := range parts {
-		g := grads[d]
-		if len(g) != dim {
-			return nil, fmt.Errorf("isgc: partition %d gradient dim %d ≠ %d", d, len(g), dim)
+	vs := make([][]float64, len(parts))
+	for j, d := range parts {
+		if len(grads[d]) != dim {
+			return nil, fmt.Errorf("isgc: partition %d gradient dim %d ≠ %d", d, len(grads[d]), dim)
 		}
-		for k, x := range g {
-			out[k] += x
-		}
+		vs[j] = grads[d]
 	}
+	out := make([]float64, dim)
+	linalg.SumInto(out, vs)
 	return out, nil
 }
 
@@ -45,50 +45,44 @@ func (s *Scheme) EncodePartial(worker int, local [][]float64) ([]float64, error)
 		return nil, fmt.Errorf("isgc: worker %d got %d local gradients, want c=%d", worker, len(local), s.p.C())
 	}
 	dim := len(local[0])
-	out := make([]float64, dim)
 	for j, g := range local {
 		if len(g) != dim {
 			return nil, fmt.Errorf("isgc: local gradient %d dim %d ≠ %d", j, len(g), dim)
 		}
-		for k, x := range g {
-			out[k] += x
-		}
 	}
+	out := make([]float64, dim)
+	linalg.SumInto(out, local)
 	return out, nil
 }
 
 // Aggregate sums the coded gradients of the decoded worker set I into the
 // recovered gradient ĝ = Σ_{i∈I} coded[i]. coded[i] may be nil for workers
-// outside I (stragglers whose gradients never arrived). It returns ĝ and
-// the set of partitions it covers.
+// outside I (stragglers whose gradients never arrived). It returns ĝ,
+// freshly allocated, and the set of partitions it covers. Every chosen
+// vector is checked before ĝ is summed in one linalg.SumInto call.
 func (s *Scheme) Aggregate(chosen *bitset.Set, coded [][]float64) ([]float64, *bitset.Set, error) {
 	if chosen.Empty() {
 		return nil, bitset.New(s.p.N()), nil
 	}
-	dim := -1
-	var ghat []float64
+	vs := make([][]float64, 0, chosen.Len())
 	var err error
 	chosen.Range(func(i int) bool {
 		if i >= len(coded) || coded[i] == nil {
 			err = fmt.Errorf("isgc: chosen worker %d has no coded gradient", i)
 			return false
 		}
-		if dim < 0 {
-			dim = len(coded[i])
-			ghat = make([]float64, dim)
-		}
-		if len(coded[i]) != dim {
-			err = fmt.Errorf("isgc: worker %d coded gradient dim %d ≠ %d", i, len(coded[i]), dim)
+		if len(vs) > 0 && len(coded[i]) != len(vs[0]) {
+			err = fmt.Errorf("isgc: worker %d coded gradient dim %d ≠ %d", i, len(coded[i]), len(vs[0]))
 			return false
 		}
-		for k, x := range coded[i] {
-			ghat[k] += x
-		}
+		vs = append(vs, coded[i])
 		return true
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	ghat := make([]float64, len(vs[0]))
+	linalg.SumInto(ghat, vs)
 	return ghat, s.Recovered(chosen), nil
 }
 

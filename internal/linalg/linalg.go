@@ -48,6 +48,88 @@ func AddTo(dst, src []float64) {
 	}
 }
 
+// SumInto sets dst[k] = 0 + vs[0][k] + vs[1][k] + …, summed left to
+// right: the bits of zeroing dst and AddTo-ing each vector in turn, so a
+// sum of −0s comes out +0. It reads each vector once and writes dst once
+// per four vectors, instead of one read-modify-write pass per vector.
+// dst may alias vs[0] but must not partially overlap any vector; with no
+// vectors dst is zeroed. Panics on length mismatch, like AddTo.
+//
+// The one exception is an element where two different NaN payloads
+// meet: which survives is up to the compiled add's operand order, which
+// Go does not fix (it changes between builds, -race among them), so no
+// summation loop, old or new, gives those bits reproducibly.
+func SumInto(dst []float64, vs [][]float64) {
+	for _, v := range vs {
+		if len(v) != len(dst) {
+			panic(fmt.Sprintf("linalg: SumInto length mismatch %d vs %d", len(dst), len(v)))
+		}
+	}
+	if len(vs) == 0 {
+		ZeroVec(dst)
+		return
+	}
+	// The first pass starts each element from +0, later ones from dst.
+	for start := true; len(vs) > 0; start = false {
+		k := min(len(vs), 4)
+		sumPass(dst, start, vs[:k])
+		vs = vs[k:]
+	}
+}
+
+// sumPass adds one to four vectors into dst, starting from +0 when start
+// is set and from dst otherwise. Each arity has its own loop so every
+// element is one chain of adds in vector order.
+func sumPass(dst []float64, start bool, vs [][]float64) {
+	n := len(dst)
+	switch len(vs) {
+	case 1:
+		a := vs[0][:n]
+		if start {
+			for k := range dst {
+				dst[k] = 0 + a[k]
+			}
+		} else {
+			for k := range dst {
+				dst[k] = dst[k] + a[k]
+			}
+		}
+	case 2:
+		a, b := vs[0][:n], vs[1][:n]
+		if start {
+			for k := range dst {
+				dst[k] = 0 + a[k] + b[k]
+			}
+		} else {
+			for k := range dst {
+				dst[k] = dst[k] + a[k] + b[k]
+			}
+		}
+	case 3:
+		a, b, c := vs[0][:n], vs[1][:n], vs[2][:n]
+		if start {
+			for k := range dst {
+				dst[k] = 0 + a[k] + b[k] + c[k]
+			}
+		} else {
+			for k := range dst {
+				dst[k] = dst[k] + a[k] + b[k] + c[k]
+			}
+		}
+	default:
+		a, b, c, d := vs[0][:n], vs[1][:n], vs[2][:n], vs[3][:n]
+		if start {
+			for k := range dst {
+				dst[k] = 0 + a[k] + b[k] + c[k] + d[k]
+			}
+		} else {
+			for k := range dst {
+				dst[k] = dst[k] + a[k] + b[k] + c[k] + d[k]
+			}
+		}
+	}
+}
+
 // AXPY computes dst += a*src element-wise.
 func AXPY(dst []float64, a float64, src []float64) {
 	if len(dst) != len(src) {

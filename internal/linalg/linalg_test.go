@@ -474,3 +474,91 @@ func TestQuickTransposeProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// sumIntoInputs returns m vectors of dim elements. Element 0 is −0 in
+// every vector (its sum must come out +0), element 1 mixes ±0, and the
+// rest draw from subnormals, ordinary values and either ±Inf (even
+// elements) or NaNs carrying payload k (odd element k, quiet or
+// signalling). No element meets two different NaN payloads — an
+// Inf − Inf makes one too — since which survives is up to the compiler
+// (see SumInto).
+func sumIntoInputs(rng *rand.Rand, m, dim int) [][]float64 {
+	negZero := math.Copysign(0, -1)
+	specials := []float64{negZero, 0, 5e-324, -3e-310, 2.2e-308, 1e308}
+	vs := make([][]float64, m)
+	for j := range vs {
+		v := make([]float64, dim)
+		for k := range v {
+			switch r := rng.Intn(8); {
+			case k == 0:
+				v[k] = negZero
+			case k == 1 && j%2 == 0:
+				v[k] = negZero
+			case k == 1:
+				v[k] = 0
+			case r == 0:
+				v[k] = specials[rng.Intn(len(specials))]
+			case r == 1 && k%2 == 0:
+				v[k] = math.Inf(1 - 2*rng.Intn(2))
+			case r == 1 && k%4 == 1:
+				v[k] = math.Float64frombits(0x7ff8000000000000 | uint64(k)) // quiet
+			case r == 1:
+				v[k] = math.Float64frombits(0x7ff0000000000000 | uint64(k)) // signalling
+			default:
+				v[k] = rng.NormFloat64()
+			}
+		}
+		vs[j] = v
+	}
+	return vs
+}
+
+// TestSumIntoBitsMatchAddTo: SumInto gives the bits of zeroing dst and
+// AddTo-ing each vector in turn, for 1–9 vectors at dims 0, 1, 3 and
+// 2^16+3, into a fresh dst and into vs[0] itself, NaN payloads
+// included.
+func TestSumIntoBitsMatchAddTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, dim := range []int{0, 1, 3, 1<<16 + 3} {
+		for m := 1; m <= 9; m++ {
+			vs := sumIntoInputs(rng, m, dim)
+			want := make([]float64, dim)
+			for _, v := range vs {
+				AddTo(want, v)
+			}
+			got := make([]float64, dim)
+			for k := range got {
+				got[k] = float64(k) + 0.5 // stale contents must not leak in
+			}
+			SumInto(got, vs)
+			aliased := CloneVec(vs[0])
+			SumInto(aliased, append([][]float64{aliased}, vs[1:]...))
+			for k := range want {
+				w := math.Float64bits(want[k])
+				if g := math.Float64bits(got[k]); g != w {
+					t.Fatalf("dim %d, %d vectors: element %d = %#x, reference %#x", dim, m, k, g, w)
+				}
+				if a := math.Float64bits(aliased[k]); a != w {
+					t.Fatalf("dim %d, %d vectors, dst = vs[0]: element %d = %#x, reference %#x", dim, m, k, a, w)
+				}
+			}
+			if dim > 0 && math.Signbit(got[0]) {
+				t.Fatal("a sum of −0s must come out +0")
+			}
+		}
+	}
+}
+
+func TestSumIntoEdges(t *testing.T) {
+	dst := []float64{1, math.NaN()}
+	SumInto(dst, nil)
+	if math.Float64bits(dst[0]) != 0 || math.Float64bits(dst[1]) != 0 {
+		t.Fatalf("no vectors must zero dst, got %v", dst)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch must panic")
+		}
+	}()
+	SumInto(make([]float64, 2), [][]float64{{1, 2}, {3}})
+}
